@@ -13,9 +13,8 @@ substitutes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .costs import CostOracle
+from .costs import CostOracle, _labels_of
 from .errors import DomainError
 from .limits import guard
 
@@ -32,20 +31,6 @@ class ClassReport:
         return self.passed
 
 
-def _tabulate(oracle: CostOracle) -> tuple[tuple[int, ...], list[Fraction]]:
-    labels = oracle.ground
-    n = len(labels)
-    vals = []
-    for mask in range(1 << n):
-        S = frozenset(labels[i] for i in range(n) if mask >> i & 1)
-        vals.append(oracle.eval(S))
-    return labels, vals
-
-
-def _set_of(mask: int, labels: tuple[int, ...]) -> list[int]:
-    return [labels[i] for i in range(len(labels)) if mask >> i & 1]
-
-
 def _check_monotone_normalized(labels, vals) -> dict | None:
     n = len(labels)
     if vals[0] != 0:
@@ -57,7 +42,7 @@ def _check_monotone_normalized(labels, vals) -> dict | None:
             if vals[mask | 1 << i] < vals[mask]:
                 return {
                     "reason": "not monotone",
-                    "S": _set_of(mask, labels),
+                    "S": _labels_of(mask, labels),
                     "x": labels[i],
                     "c_S": str(vals[mask]),
                     "c_Sx": str(vals[mask | 1 << i]),
@@ -83,8 +68,8 @@ def _check_submodular(labels, vals) -> dict | None:
                     return {
                         "reason": "marginal grows",
                         "x": labels[i],
-                        "A": _set_of(mask, labels),
-                        "B": _set_of(bigger, labels),
+                        "A": _labels_of(mask, labels),
+                        "B": _labels_of(bigger, labels),
                         "c_x_given_A": str(base),
                         "c_x_given_B": str(vals[bigger | 1 << i] - vals[bigger]),
                     }
@@ -101,8 +86,8 @@ def _check_subadditive(labels, vals) -> dict | None:
             rest = mask ^ sub
             if sub < rest and vals[mask] > vals[sub] + vals[rest]:
                 return {
-                    "A": _set_of(sub, labels),
-                    "B": _set_of(rest, labels),
+                    "A": _labels_of(sub, labels),
+                    "B": _labels_of(rest, labels),
                     "c_AB": str(vals[mask]),
                     "c_A": str(vals[sub]),
                     "c_B": str(vals[rest]),
@@ -119,9 +104,9 @@ def _check_matroid_rank(labels, vals) -> dict | None:
     for mask in range(1 << n):
         v = vals[mask]
         if v.denominator != 1:
-            return {"reason": "not integral", "S": _set_of(mask, labels), "c_S": str(v)}
+            return {"reason": "not integral", "S": _labels_of(mask, labels), "c_S": str(v)}
         if v > mask.bit_count():
-            return {"reason": "exceeds cardinality", "S": _set_of(mask, labels), "c_S": str(v)}
+            return {"reason": "exceeds cardinality", "S": _labels_of(mask, labels), "c_S": str(v)}
     return _check_submodular(labels, vals)
 
 
@@ -152,7 +137,7 @@ def _check_gross_substitutes(labels, vals) -> dict | None:
                     if exprs.count(top) == 1:
                         return {
                             "reason": "unique max in triple",
-                            "S": _set_of(mask, labels),
+                            "S": _labels_of(mask, labels),
                             "triple": [labels[i], labels[j], labels[k]],
                             "values": [str(e) for e in exprs],
                         }
@@ -180,6 +165,5 @@ def validate_class(oracle: CostOracle, cls: str) -> ClassReport:
     if check is None:
         raise DomainError(f"unknown cost class {cls!r}; choose from {sorted(VALIDATORS)}")
     guard("gross_substitutes" if cls == "gross_substitutes" else "validator", oracle.arity)
-    labels, vals = _tabulate(oracle)
-    witness = check(labels, vals)
+    witness = check(oracle.ground, oracle.table())
     return ClassReport(cls=cls, passed=witness is None, witness=witness)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .classes import validate_class
-from .costs import BudgetAdditiveCost, CoverageCost, XosCost
+from .costs import BudgetAdditiveCost, CoverageCost, HardnessCost, XosCost, _labels_of, _masks_by_size
 from .errors import DomainError
 from .hardness import hardness_params, symmetric_impulsive_utility_exact
 from .instances import (
@@ -193,19 +193,11 @@ def _check_hardness_planted(instance: Instance):
 def _check_hardness_agreement(instance: Instance):
     # n < 2*alpha - beta here, so the planted and baseline oracles agree
     # exactly on the sets meeting R in at most beta boxes
-    import itertools
-
-    c_r = instance.cost
-    from .costs import HardnessCost
-
-    c_0 = HardnessCost(6, 4)
-    R = c_r.R
-    for r in range(7):
-        for combo in itertools.combinations(range(1, 7), r):
-            S = frozenset(combo)
-            agree = c_0.eval(S) == c_r.eval(S)
-            if agree != (len(S & R) <= 1):
-                return False, "agree iff |S & R| <= beta", f"failed at {sorted(S)}"
+    c_0, c_r = HardnessCost(6, 4).table(), instance.cost.table()
+    in_R = sum(1 << instance.labels.index(b) for b in instance.cost.R)
+    for mask in _masks_by_size(6):
+        if (c_0[mask] == c_r[mask]) != ((mask & in_R).bit_count() <= 1):
+            return False, "agree iff |S & R| <= beta", f"failed at {_labels_of(mask, instance.labels)}"
     return True, "agree iff |S & R| <= beta", "64/64 subsets"
 
 

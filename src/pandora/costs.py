@@ -2,14 +2,15 @@
 
 Every concrete family is normalized (c(empty) = 0) and monotone, either by
 construction (additive, coverage, ...) or by eager table validation
-(ExplicitCost).  Oracles are immutable after construction and safe for
-concurrent read-only use; the memo table may be racily filled from several
-threads, which is harmless because values are deterministic.
+(ExplicitCost).  Oracles are immutable after construction.  Every 2^n layer
+reads `CostOracle.table()`: c(S) for all S as one tuple indexed by bitmask
+(bit i <-> ground[i]), filled once through `eval` and cached.  Only grounds
+given by the caller are validated; wrappers reuse their inner oracle's, and
+`HardnessCost` builds 1..n directly, so construction is O(1) or a bare range.
 """
 from __future__ import annotations
 
 import itertools
-import threading
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -24,6 +25,27 @@ ZERO = Fraction(0)
 
 def _boxset(boxes: Iterable[int]) -> BoxSet:
     return boxes if isinstance(boxes, frozenset) else frozenset(boxes)
+
+
+def _masks_by_size(n: int):
+    """Every bitmask over n bits: by size, then in lexicographic order of the
+    set bits (the order itertools.combinations visits subsets in)."""
+    bits = [1 << i for i in range(n)]
+    for r in range(n + 1):
+        for combo in itertools.combinations(bits, r):
+            yield sum(combo)
+
+
+def _labels_of(mask: int, labels: tuple[int, ...]) -> list[int]:
+    return [b for i, b in enumerate(labels) if mask >> i & 1]
+
+
+def _power_set(labels: Sequence[int]) -> list[BoxSet]:
+    """Every subset of `labels` as a frozenset, indexed by bitmask."""
+    sets = [frozenset()]
+    for b in labels:
+        sets += [S | {b} for S in sets]
+    return sets
 
 
 class CostOracle:
@@ -45,9 +67,14 @@ class CostOracle:
             raise DomainError(f"duplicate box labels: {labels}")
         if any(not isinstance(b, int) or isinstance(b, bool) for b in labels):
             raise DomainError(f"box labels must be ints: {labels}")
+        self._adopt(labels, frozenset(labels))
+
+    def _adopt(self, labels: tuple[int, ...], members: BoxSet) -> None:
+        """Install a ground already known to be sorted, distinct ints."""
         self.ground = labels
-        self._members = frozenset(labels)
+        self._members = members
         self._memo: dict[BoxSet, Fraction] = {}
+        self._table: tuple[Fraction, ...] | None = None
 
     @property
     def arity(self) -> int:
@@ -69,14 +96,35 @@ class CostOracle:
     def _value(self, S: BoxSet) -> Fraction:
         raise NotImplementedError
 
+    def table(self) -> tuple[Fraction, ...]:
+        """c(S) for every S <= ground, indexed by bitmask (bit i <-> ground[i]).
+
+        Filled once through `eval` (so a counting wrapper sees each subset
+        once) and cached; raises CapabilityError above the validator bound.
+        """
+        if self._table is None:
+            guard("validator", self.arity)
+            # two half-size power sets: the fill itself holds about 2^(n/2) sets
+            half = self.arity // 2
+            low = _power_set(self.ground[:half])
+            self._table = tuple(self.eval(L | H) for H in _power_set(self.ground[half:])
+                                for L in low)
+        return self._table
+
+    def matches(self, reference: Callable[[BoxSet], Fraction]) -> tuple[bool, BoxSet | None]:
+        """Certificate check: does this oracle agree with `reference` on every
+        subset?  (True, None) or (False, the first disagreeing subset by size,
+        then lexicographically); guarded like `table()`."""
+        mine = self.table()
+        for mask in _masks_by_size(self.arity):
+            S = frozenset(_labels_of(mask, self.ground))
+            if mine[mask] != reference(S):
+                return False, S
+        return True, None
+
     def spec(self) -> dict:
         """JSON-ready description ({"kind": ..., ...}); see serialize module."""
         raise NotImplementedError(f"{type(self).__name__} has no serial form")
-
-
-def eval_cost(oracle: CostOracle, S: Iterable[int]) -> Fraction:
-    """Cost of opening exactly the boxes in S."""
-    return oracle.eval(S)
 
 
 def marginal_cost(oracle: CostOracle, S: Iterable[int], T: Iterable[int]) -> Fraction:
@@ -131,16 +179,16 @@ class ExplicitCost(CostOracle):
                         f"not monotone: c({sorted(key)}) = {cost} > "
                         f"c({sorted(key | {b})}) = {bigger}"
                     )
-        self._table = entries
+        self._entries = entries
 
     def _value(self, S: BoxSet) -> Fraction:
-        return self._table[S]
+        return self._entries[S]
 
     def spec(self) -> dict:
-        keys = sorted(self._table, key=lambda k: (len(k), sorted(k)))
+        keys = sorted(self._entries, key=lambda k: (len(k), sorted(k)))
         return {
             "kind": "explicit",
-            "table": {",".join(str(b) for b in sorted(k)): str(self._table[k]) for k in keys},
+            "table": {",".join(str(b) for b in sorted(k)): str(self._entries[k]) for k in keys},
         }
 
 
@@ -265,20 +313,6 @@ class XosCost(CostOracle):
                 best = total
         return best
 
-    def matches(self, reference: Callable[[BoxSet], Fraction]) -> tuple[bool, BoxSet | None]:
-        """Certificate consistency: max-of-clauses == reference on every subset.
-
-        Returns (True, None) or (False, witness subset).  Exponential in the
-        ground size, guarded accordingly.
-        """
-        guard("validator", self.arity)
-        for r in range(self.arity + 1):
-            for combo in itertools.combinations(self.ground, r):
-                S = frozenset(combo)
-                if self.eval(S) != reference(S):
-                    return False, S
-        return True, None
-
     def spec(self) -> dict:
         return {
             "kind": "xos",
@@ -345,11 +379,6 @@ class TreeClosureCost(CostOracle):
         }
 
 
-def closure(tree: TreeClosureCost, S: Iterable[int]) -> BoxSet:
-    """Minimal connected node set containing S and the root."""
-    return tree.closure(S)
-
-
 class HardnessCost(CostOracle):
     """The query-complexity family: capped cardinality with an optional planted set.
 
@@ -371,7 +400,8 @@ class HardnessCost(CostOracle):
             raise DomainError(f"need 1 <= alpha <= n, got alpha = {alpha}")
         if beta is not None and not 0 < beta < alpha:
             raise DomainError(f"need 0 < beta < alpha, got beta = {beta}")
-        super().__init__(range(1, n + 1))
+        labels = tuple(range(1, n + 1))
+        self._adopt(labels, frozenset(labels))
         self.n = n
         self.alpha = alpha
         self.beta = beta
@@ -411,7 +441,7 @@ class MarginalOracle(CostOracle):
         T = _boxset(T)
         if not T <= inner._members:
             raise DomainError(f"conditioning set {sorted(T)} outside {inner.ground}")
-        super().__init__(inner._members - T)
+        self._adopt(tuple(b for b in inner.ground if b not in T), inner._members - T)
         self.inner = inner
         self.T = T
         self._base = inner.eval(T)
@@ -445,6 +475,19 @@ class ProjectionCost(CostOracle):
     def _value(self, S: BoxSet) -> Fraction:
         return self.inner.eval({self.label_map[b] for b in S})
 
+    def table(self) -> tuple[Fraction, ...]:
+        # a subset costs what its image does: map bitmasks into the inner
+        # table (when it is no bigger) rather than evaluate 2^n images
+        if self._table is None and self.inner.arity <= self.arity:
+            guard("validator", self.arity)
+            inner = self.inner.table()
+            bit = {b: 1 << i for i, b in enumerate(self.inner.ground)}
+            image = [0]
+            for b in self.ground:
+                image += [m | bit[self.label_map[b]] for m in image]
+            self._table = tuple(inner[m] for m in image)
+        return super().table()
+
     def spec(self) -> dict:
         return {
             "kind": "projection",
@@ -457,25 +500,20 @@ class ProjectionCost(CostOracle):
 class QueryCountingOracle(CostOracle):
     """Forwarding wrapper that tallies every eval call.
 
-    Never caches (a cache would hide repeat queries from the tally); the
-    count is exact under concurrent use thanks to a lock.
+    Never caches per query (a cache would hide repeat queries from the
+    tally); `table()` fills through `eval`, so a tabulation counts each
+    subset exactly once.
     """
 
     memoize = False
 
     def __init__(self, inner: CostOracle):
-        super().__init__(inner.ground)
+        self._adopt(inner.ground, inner._members)
         self.inner = inner
-        self._count = 0
-        self._lock = threading.Lock()
-
-    @property
-    def count(self) -> int:
-        return self._count
+        self.count = 0
 
     def _value(self, S: BoxSet) -> Fraction:
-        with self._lock:
-            self._count += 1
+        self.count += 1
         return self.inner.eval(S)
 
 
@@ -493,39 +531,34 @@ def xos_lift(f: CostOracle) -> XosCost:
     exactly f, so any instance-level properties of f survive the lift while
     g itself stops being submodular in interesting cases.
 
-    Tabulates all of f, so it shares the validator size guard.  Raises if f
-    turns out not to be monotone (checked during tabulation).
+    Reads f's table, so it shares the validator size guard.  Raises if f
+    turns out not to be monotone.
     """
     n = f.arity
     guard("xos_lift", n)
     if 0 in f._members:
         raise DomainError("lift needs the label 0 to be free")
-    X = f._members
-    fX = f.eval(X)
-    big = n * fX
+    values = f.table()
+    big = n * values[-1]
     clauses: list[dict[int, Fraction]] = [{0: big}]
-    values: dict[BoxSet, Fraction] = {}
-    for r in range(n + 1):
-        for combo in itertools.combinations(f.ground, r):
-            S = frozenset(combo)
-            values[S] = f.eval(S)
-            if S:
-                share = (big + values[S]) / len(S)
-                clauses.append({b: share for b in S})
-    # monotonicity of f feeds directly into the lift's correctness; verify
-    for S, cost in values.items():
-        for b in X - S:
-            if values[S | {b}] < cost:
+    for mask in _masks_by_size(n):
+        # monotonicity of f feeds directly into the lift's correctness; verify
+        for i in range(n):
+            if not mask >> i & 1 and values[mask | 1 << i] < values[mask]:
                 raise DomainError(
                     f"lifted function must be monotone; violated at "
-                    f"{sorted(S)} + {b}"
+                    f"{_labels_of(mask, f.ground)} + {f.ground[i]}"
                 )
-    g = XosCost(sorted(X | {0}), clauses)
+        if mask:
+            S = _labels_of(mask, f.ground)
+            share = (big + values[mask]) / len(S)
+            clauses.append({b: share for b in S})
+    g = XosCost(sorted(f._members | {0}), clauses)
     if n <= 6:
         # the clause construction provably reproduces the formula; keep the
         # self-check where it costs nothing (it is quadratic in the 2^n
         # clause count, so only at toy sizes)
-        ok, witness = g.matches(lambda S: (big if S else ZERO) + values[S - {0}])
+        ok, witness = g.matches(lambda S: (big if S else ZERO) + f.eval(S - {0}))
         if not ok:
             raise AssertionError(f"XOS lift certificate broken at {sorted(witness)}")
     return g

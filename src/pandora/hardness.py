@@ -321,9 +321,9 @@ def replay_trial(n: int, alpha: int, beta: int, R, queries,
     """Run one explicit query list against (c0, c_R), keeping the transcript.
 
     The transcript holds (S, c0 answer, c_R answer) per query; the c_R side
-    goes through a QueryCountingOracle whose final count is asserted to equal
-    the query-list length (the counting machinery is part of what the lab is
-    expected to prove out).
+    goes through a QueryCountingOracle whose final count must equal the
+    query-list length (the counting machinery is part of what the lab is
+    expected to prove out); AssertionError otherwise, also under -O.
     """
     c0 = HardnessCost(n, alpha)
     counted = QueryCountingOracle(HardnessCost(n, alpha, beta, R))
@@ -331,7 +331,8 @@ def replay_trial(n: int, alpha: int, beta: int, R, queries,
     queries = [frozenset(S) for S in queries]
     for S in queries:
         transcript.append((S, c0.eval(S), counted.eval(S)))
-    assert counted.count == len(queries)
+    if counted.count != len(queries):
+        raise AssertionError(f"counted {counted.count} queries, issued {len(queries)}")
     return DistinguishTrial(seed=seed, budget=len(queries),
                             R=frozenset(R), transcript=tuple(transcript))
 

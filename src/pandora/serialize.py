@@ -123,14 +123,27 @@ def instance_to_json(instance: Instance) -> dict:
     }
 
 
+def _preview(labels: list) -> str:
+    """A label list cut to its two ends, for messages."""
+    return str(labels) if len(labels) <= 16 else f"{labels[:8]}...{labels[-8:]} ({len(labels)} labels)"
+
+
 def instance_from_json(data: dict) -> Instance:
     if not isinstance(data, dict):
         raise ParseError(f"instance must be an object, got {type(data).__name__}")
     if data.get("format", FORMAT) != FORMAT:
         raise ParseError(f"not a {FORMAT} document: format = {data.get('format')!r}")
-    cost = cost_from_json(_require(data, "cost", "instance"))
+    cost_data = _require(data, "cost", "instance")
+    items = _require(data, "boxes", "instance")
+    # a hardness cost allocates its ground 1..n: check n against the box
+    # count before anything sized by n is built
+    if isinstance(cost_data, dict) and cost_data.get("kind") == "hardness" \
+            and isinstance(items, list) and cost_data.get("n") != len(items):
+        raise ParseError(f"hardness cost declares n = {cost_data.get('n')!r:.40} "
+                         f"but the instance has {len(items)} boxes")
+    cost = cost_from_json(cost_data)
     entries = []
-    for item in _require(data, "boxes", "instance"):
+    for item in items:
         label = int(_require(item, "label", "box"))
         try:
             box = FiniteDistribution([(rat(v), rat(p))
@@ -141,7 +154,8 @@ def instance_from_json(data: dict) -> Instance:
     entries.sort(key=lambda pair: pair[0])
     labels = [label for label, _ in entries]
     if labels != list(cost.ground):
-        raise ParseError(f"box labels {labels} do not match cost ground {list(cost.ground)}")
+        raise ParseError(f"box labels {_preview(labels)} do not match "
+                         f"cost ground {_preview(list(cost.ground))}")
 
     kept = [(label, box) for label, box in entries if not box.is_constant_zero()]
     if len(kept) < len(entries):

@@ -35,14 +35,6 @@ from .strategies import (
 ZERO = Fraction(0)
 
 
-def _mask_sets(labels: tuple[int, ...]) -> list[frozenset[int]]:
-    n = len(labels)
-    return [
-        frozenset(labels[i] for i in range(n) if mask >> i & 1)
-        for mask in range(1 << n)
-    ]
-
-
 def optimal_adaptive(instance: Instance) -> tuple[Fraction, PolicyTree]:
     """Optimum over all deterministic adaptive strategies, with a witness tree.
 
@@ -63,47 +55,32 @@ def optimal_adaptive(instance: Instance) -> tuple[Fraction, PolicyTree]:
     labels = instance.labels
     n = instance.n
     atoms = [instance.box(b).atoms for b in labels]
-    cost = instance.cost
-    sets = _mask_sets(labels)
+    table = instance.cost.table()
     memo: dict[tuple[int, Fraction], Fraction] = {}
+
+    def opening(mask: int, x: Fraction, i: int) -> Fraction:
+        # value of opening box i in state (mask, x), then playing optimally
+        nxt = mask | 1 << i
+        val = table[mask] - table[nxt]  # == -marginal cost of box i
+        for v, p in atoms[i]:
+            gain = v - x if v > x else ZERO
+            val += p * (gain + W(nxt, v if v > x else x))
+        return val
 
     def W(mask: int, x: Fraction) -> Fraction:
         key = (mask, x)
         hit = memo.get(key)
-        if hit is not None:
-            return hit
-        best = ZERO
-        base = cost.eval(sets[mask])
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            nxt = mask | 1 << i
-            val = base - cost.eval(sets[nxt])  # == -marginal cost of box i
-            for v, p in atoms[i]:
-                gain = v - x if v > x else ZERO
-                val += p * (gain + W(nxt, v if v > x else x))
-            if val > best:
-                best = val
-        memo[key] = best
-        return best
+        if hit is None:
+            hit = memo[key] = max([ZERO] + [opening(mask, x, i) for i in range(n)
+                                            if not mask >> i & 1])
+        return hit
 
     def build(mask: int, x: Fraction) -> PolicyTree:
         target = W(mask, x)
         if target == 0:
             return PolicyTree.halt()
-        base = cost.eval(sets[mask])
-        chosen, chosen_val = None, ZERO
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            nxt = mask | 1 << i
-            val = base - cost.eval(sets[nxt])
-            for v, p in atoms[i]:
-                gain = v - x if v > x else ZERO
-                val += p * (gain + W(nxt, v if v > x else x))
-            if chosen is None or val > chosen_val:
-                chosen, chosen_val = i, val
-        assert chosen is not None and chosen_val == target
+        chosen = next(i for i in range(n)
+                      if not mask >> i & 1 and opening(mask, x, i) == target)
         children = {
             v: build(mask | 1 << chosen, v if v > x else x)
             for v, _ in atoms[chosen]
@@ -114,8 +91,8 @@ def optimal_adaptive(instance: Instance) -> tuple[Fraction, PolicyTree]:
     return utility, build(0, ZERO)
 
 
-def _threshold_dp(instance: Instance, sigma: tuple[int, ...],
-                  grid: tuple[Fraction, ...]) -> tuple[tuple[Extended, ...], Fraction]:
+def _threshold_dp(instance: Instance, sigma: tuple[int, ...], grid: tuple[Fraction, ...],
+                  prefix: list[Fraction] | None = None) -> tuple[tuple[Extended, ...], Fraction]:
     """Backward recursion f_i over the support grid for one permutation.
 
     f_{n+1} = 0;  f_i(x) = max(0, sum_v p_v [ (v-x)^+ + f_{i+1}(max(v,x)) ]
@@ -127,15 +104,16 @@ def _threshold_dp(instance: Instance, sigma: tuple[int, ...],
     of f_i always exists because f_i(max grid) = 0 (no excess above the top
     value, and costs are nonnegative, by downward induction on i).  f_i is
     non-increasing and 1-Lipschitz in x, which the property tests exercise.
+    `prefix[i]` = c(sigma_1..sigma_i); without it they come from `eval`.
     """
     n = len(sigma)
-    cost = instance.cost
+    if prefix is None:
+        prefix = [instance.cost.eval(sigma[:i]) for i in range(n + 1)]
     boxes = [instance.box(b) for b in sigma]
     nxt: dict[Fraction, Fraction] = {x: ZERO for x in grid}
     thresholds: list[Extended] = [INF] * n
-    utility = ZERO
     for i in range(n - 1, -1, -1):
-        marg = cost.eval(sigma[: i + 1]) - cost.eval(sigma[:i])
+        marg = prefix[i + 1] - prefix[i]
         here: dict[Fraction, Fraction] = {}
         t_i: Extended = INF
         for x in reversed(grid):
@@ -168,10 +146,13 @@ def optimal_thresholds(instance: Instance,
 
 
 def _fixed_order_chunk(instance: Instance, perms: list[tuple[int, ...]],
-                       grid: tuple[Fraction, ...]):
+                       grid: tuple[Fraction, ...], table: tuple[Fraction, ...]):
+    bit = {b: 1 << i for i, b in enumerate(instance.labels)}
     best = None
     for sigma in perms:
-        thresholds, utility = _threshold_dp(instance, sigma, grid)
+        # the bits are disjoint, so running sums are the prefix masks
+        prefix = [table[m] for m in itertools.accumulate((bit[b] for b in sigma), initial=0)]
+        thresholds, utility = _threshold_dp(instance, sigma, grid, prefix)
         if best is None or utility > best[1] or (utility == best[1] and sigma < best[0]):
             best = (sigma, utility, thresholds)
     return best
@@ -185,21 +166,17 @@ def optimal_fixed_order(instance: Instance,
     regardless of worker count."""
     guard("order_enum", instance.n)
     grid = support_union(instance)
+    table = instance.cost.table()
     perms = list(itertools.permutations(instance.labels))
     if jobs > 1 and len(perms) > 1:
         chunks = [perms[k::jobs] for k in range(jobs)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_fixed_order_chunk, [instance] * len(chunks),
-                                    chunks, [grid] * len(chunks)))
+                                    chunks, [grid] * len(chunks), [table] * len(chunks)))
     else:
-        results = [_fixed_order_chunk(instance, perms, grid)]
-    best = None
-    for cand in results:
-        if cand is None:
-            continue
-        if best is None or cand[1] > best[1] or (cand[1] == best[1] and cand[0] < best[0]):
-            best = cand
-    sigma, utility, thresholds = best
+        results = [_fixed_order_chunk(instance, perms, grid, table)]
+    # the best utility, ties to the lexicographically least sigma
+    sigma, utility, thresholds = min(filter(None, results), key=lambda c: (-c[1], c[0]))
     return FixedOrderThresholds(sigma, thresholds), utility
 
 
@@ -292,7 +269,7 @@ class GapReport:
 
     opt_impulsive / witness_impulsive are None off the Bernoulli domain.
     The class chain opt_adaptive >= opt_fixed_order >= opt_impulsive >= 0 is
-    asserted during construction.
+    checked during construction (AssertionError if broken, also under -O).
     """
 
     opt_adaptive: Fraction
@@ -304,9 +281,10 @@ class GapReport:
     strict_gap: dict
 
     def __post_init__(self):
-        assert self.opt_adaptive >= self.opt_fixed_order >= 0
-        if self.opt_impulsive is not None:
-            assert self.opt_fixed_order >= self.opt_impulsive >= 0
+        chain = [u for u in (self.opt_adaptive, self.opt_fixed_order,
+                             self.opt_impulsive, ZERO) if u is not None]
+        if any(a < b for a, b in zip(chain, chain[1:])):
+            raise AssertionError(f"class chain broken: {[str(u) for u in chain]}")
 
 
 def adaptivity_gap(instance: Instance, jobs: int = 1) -> GapReport:

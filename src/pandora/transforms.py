@@ -21,10 +21,11 @@ from .costs import (
     CoverageCost,
     ProjectionCost,
     XosCost,
+    _labels_of,
+    _masks_by_size,
 )
 from .errors import DomainError
 from .instances import FiniteDistribution, Instance, WeightedBernoulli, support_union
-from .limits import guard
 from .rationals import rat
 from .solvers import _threshold_dp
 from .strategies import FixedOrderThresholds, ImpulsiveStrategy, eval_fixed_order, eval_impulsive
@@ -202,7 +203,7 @@ def pull_back_strategy(bmap: BernoullificationMap,
     then chosen optimally for that (truncated) order by the backward
     recursion, which dominates any halting rule on the same order -- in
     particular the coupling construction behind the correspondence -- so the
-    utility inequality is guaranteed, and asserted on every call.  Boxes
+    utility inequality is guaranteed, and checked on every call.  Boxes
     absent from `pi_prime` are appended with threshold 0 (never reached).
     """
     labels = []
@@ -228,9 +229,8 @@ def pull_back_strategy(bmap: BernoullificationMap,
     strategy = FixedOrderThresholds(sigma, thresholds)
     pulled = eval_fixed_order(original, strategy)
     lifted_u = eval_impulsive(bmap.lifted, ImpulsiveStrategy(tuple(labels)))
-    assert pulled >= lifted_u, (
-        f"pull-back lost utility: {pulled} < {lifted_u} for {pi_prime!r}"
-    )
+    if pulled < lifted_u:
+        raise AssertionError(f"pull-back lost utility: {pulled} < {lifted_u} for {pi_prime!r}")
     return strategy
 
 
@@ -271,23 +271,21 @@ def _budget_additive_decision(cost: CostOracle) -> ClassReport:
     so checking that canonical candidate on every subset is a complete test,
     not a heuristic.
     """
-    guard("validator", cost.arity)
-    budget = cost.eval(cost.ground)
-    w = {b: cost.eval((b,)) for b in cost.ground}
-    for r in range(cost.arity + 1):
-        for combo in itertools.combinations(cost.ground, r):
-            total = sum((w[b] for b in combo), ZERO)
-            canonical = min(budget, total)
-            actual = cost.eval(combo)
-            if canonical != actual:
-                witness = {
-                    "S": sorted(combo),
-                    "budget": str(budget),
-                    "weights": {str(b): str(w[b]) for b in combo},
-                    "min(B, sum w)": str(canonical),
-                    "cost": str(actual),
-                }
-                return ClassReport("budget_additive", False, witness)
+    table = cost.table()
+    budget = table[-1]
+    w = {b: table[1 << i] for i, b in enumerate(cost.ground)}
+    for mask in _masks_by_size(cost.arity):
+        combo = _labels_of(mask, cost.ground)
+        canonical = min(budget, sum((w[b] for b in combo), ZERO))
+        if canonical != table[mask]:
+            witness = {
+                "S": combo,
+                "budget": str(budget),
+                "weights": {str(b): str(w[b]) for b in combo},
+                "min(B, sum w)": str(canonical),
+                "cost": str(table[mask]),
+            }
+            return ClassReport("budget_additive", False, witness)
     return ClassReport("budget_additive", True, None)
 
 
@@ -309,15 +307,13 @@ def check_preservation(instance: Instance, cls: str) -> ClassReport:
         if not isinstance(instance.cost, CoverageCost):
             raise DomainError("coverage preservation needs a CoverageCost instance")
         cert = _lifted_coverage_certificate(bmap)
-        guard("validator", cert.arity)
-        for r in range(cert.arity + 1):
-            for combo in itertools.combinations(cert.ground, r):
-                if cert.eval(combo) != lifted.cost.eval(combo):
-                    return ClassReport("coverage", False, {
-                        "S": sorted(combo),
-                        "certificate": str(cert.eval(combo)),
-                        "lifted": str(lifted.cost.eval(combo)),
-                    })
+        ok, witness = cert.matches(lifted.cost.eval)
+        if not ok:
+            return ClassReport("coverage", False, {
+                "S": sorted(witness),
+                "certificate": str(cert.eval(witness)),
+                "lifted": str(lifted.cost.eval(witness)),
+            })
         return ClassReport("coverage", True, {"certificate": cert.spec()})
     if cls == "xos":
         if not isinstance(instance.cost, XosCost):

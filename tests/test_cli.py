@@ -86,6 +86,29 @@ class TestSolve:
         assert data["error"]["type"] == "parse"
         assert data["error"]["line"] == 2
 
+    def test_hardness_n_must_match_the_boxes(self, capsys, tmp_path):
+        # refused before the cost is built: nothing sized by n is allocated
+        tiny = tmp_path / "huge_n.json"
+        tiny.write_text('{"boxes": [], "cost": {"kind": "hardness", "n": 1000000000, "alpha": 1}}')
+        assert tiny.stat().st_size < 80
+        code, data = run_json(capsys, "solve", "-i", str(tiny))
+        assert code == 2
+        assert data["error"]["type"] == "parse"
+        assert "n = 1000000000" in data["error"]["message"]
+        assert "0 boxes" in data["error"]["message"]
+
+    def test_label_mismatch_message_is_truncated(self, capsys, tmp_path):
+        boxes = [{"label": 100 + b, "atoms": [["1", "1"]]} for b in range(1, 2001)]
+        doc = {"boxes": boxes, "cost": {"kind": "hardness", "n": 2000, "alpha": 3}}
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps(doc))
+        code, data = run_json(capsys, "solve", "-i", str(path))
+        assert code == 2
+        message = data["error"]["message"]
+        assert "do not match cost ground" in message
+        assert "..." in message and "(2000 labels)" in message
+        assert len(message) < 400
+
     def test_capability_exit(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("PANDORA_MAX_N", "2")
         path = tmp_path / "e1.json"

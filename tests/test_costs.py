@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,20 +6,23 @@ import pytest
 from pandora import (
     AdditiveCost,
     BudgetAdditiveCost,
+    CapabilityError,
     CoverageCost,
     DomainError,
     ExplicitCost,
     HardnessCost,
     MarginalOracle,
     ProjectionCost,
+    QueryCountingOracle,
     TreeClosureCost,
     XosCost,
     marginal_cost,
+    random_instance,
     rat,
     with_counter,
     xos_lift,
 )
-from pandora.costs import closure
+from pandora.instances import _FAMILIES
 
 
 def test_additive_eval_and_sequence_labels():
@@ -127,9 +131,9 @@ class TestTreeClosure:
 
     def test_closure_sets(self):
         t = self.tree()
-        assert closure(t, [2]) == frozenset({0, 1, 2})
-        assert closure(t, [3]) == frozenset({0, 3})
-        assert closure(t, []) == frozenset({0})
+        assert t.closure([2]) == frozenset({0, 1, 2})
+        assert t.closure([3]) == frozenset({0, 3})
+        assert t.closure([]) == frozenset({0})
 
     def test_costs_are_closure_sums(self):
         t = self.tree()
@@ -240,3 +244,91 @@ def test_labels_must_be_ints():
         AdditiveCost({True: 1})
     with pytest.raises(DomainError):
         CoverageCost([1, 1], [])
+
+
+def _subsets(labels):
+    for r in range(len(labels) + 1):
+        yield from itertools.combinations(labels, r)
+
+
+def _every_kind():
+    coverage = CoverageCost([1, 2, 3], [(4, [1, 2]), (1, [3]), ("1/2", [2, 3])])
+    explicit = ExplicitCost({(): 0, (1,): 1, (2,): 1, (1, 2): "3/2"})
+    return {
+        "additive": AdditiveCost(["1/2", 2, "3/4"]),
+        "budget_additive": BudgetAdditiveCost([1, 2, 1], 3),
+        "coverage": coverage,
+        "explicit": explicit,
+        "xos": XosCost([1, 2, 3], [{1: 3}, {1: 1, 2: 2, 3: 1}]),
+        "tree": TreeClosureCost({1: 0, 2: 1, 3: 0}, {1: 5, 2: 1, 3: 2}),
+        "hardness": HardnessCost(5, 3),
+        "hardness_planted": HardnessCost(6, 4, 1, R={1, 2, 3, 4}),
+        "marginal": MarginalOracle(coverage, {2}),
+        "projection": ProjectionCost([10, 11, 12], {10: 1, 11: 1, 12: 2}, explicit),
+        "restriction": ProjectionCost([1, 3], {1: 1, 3: 3}, coverage),
+        "counting": QueryCountingOracle(coverage),
+        "xos_lift": xos_lift(explicit),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_every_kind()))
+def test_table_is_eval_by_bitmask(kind):
+    cost = _every_kind()[kind]
+    table = cost.table()
+    assert len(table) == 1 << cost.arity
+    for S in _subsets(cost.ground):
+        mask = sum(1 << cost.ground.index(b) for b in S)
+        assert table[mask] == cost.eval(S), S
+    assert cost.table() is table          # cached on the oracle
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_table_is_eval_on_random_families(family):
+    for seed in range(3):
+        cost = random_instance(family, 5, seed).cost
+        table = cost.table()
+        for mask, value in enumerate(table):
+            S = [b for i, b in enumerate(cost.ground) if mask >> i & 1]
+            assert value == cost.eval(S)
+
+
+def test_table_above_the_validator_bound_is_refused():
+    with pytest.raises(CapabilityError):
+        AdditiveCost([1] * 15).table()
+    with pytest.raises(CapabilityError):
+        HardnessCost(4096, 107).table()
+    with pytest.raises(CapabilityError):
+        ProjectionCost(range(1, 16), dict.fromkeys(range(1, 16), 1), AdditiveCost([1])).table()
+
+
+def test_counting_table_counts_each_subset_once():
+    counted = QueryCountingOracle(CoverageCost([1, 2, 3], [(1, [1, 2]), (2, [3])]))
+    counted.table()
+    assert counted.count == 8
+    counted.table()
+    assert counted.count == 8             # served from the cache
+    counted.eval([1])
+    assert counted.count == 9             # single queries still count
+
+
+def test_wrappers_share_the_validated_ground():
+    inner = HardnessCost(4096, 107)
+    counted = QueryCountingOracle(inner)
+    assert counted.ground is inner.ground
+    marginal = MarginalOracle(inner, {1, 4096})
+    assert marginal.ground == tuple(range(2, 4096))
+    with pytest.raises(DomainError, match="outside ground"):
+        counted.eval([0])
+    with pytest.raises(DomainError, match="outside ground"):
+        marginal.eval([1])
+
+
+def test_fast_constructors_keep_their_checks():
+    with pytest.raises(DomainError, match="outside 1..n"):
+        HardnessCost(10, 3, 1, R={8, 9, 11})
+    with pytest.raises(DomainError, match="exactly alpha"):
+        HardnessCost(10, 3, 1, R={1, 2})
+    with pytest.raises(DomainError, match="conditioning set"):
+        MarginalOracle(HardnessCost(10, 3), {0})
+    with pytest.raises(DomainError, match="conditioning set"):
+        MarginalOracle(QueryCountingOracle(HardnessCost(10, 3)), {11})

@@ -217,3 +217,26 @@ class TestDistinguishExperiment:
             distinguish_experiment(6, "sneaky", budget=1, trials=1, alpha=4, beta=1)
         with pytest.raises(DomainError, match="outside"):
             distinguish_experiment(6, [{7}], budget=1, trials=1, alpha=4, beta=1)
+
+
+class TestPinnedReports:
+    """Digests of whole reports, recorded before oracle construction became
+    O(1): the per-trial RNG stream, the fixed-set statistics and the witness
+    must stay bit-identical."""
+
+    @staticmethod
+    def digest(report):
+        import hashlib
+        import json
+
+        text = json.dumps(report.to_json(), sort_keys=True)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_n4096_budget10(self):
+        r = distinguish_experiment(4096, budget=10, trials=200, seed=3)
+        assert self.digest(r) == "d333b991ef9cea85bd9b3d9871f6f77e99cd70d58f5c12e32a5d22b95aecf1ee"
+
+    def test_with_witness(self):
+        r = distinguish_experiment(8, budget=3, trials=50, seed=5, alpha=4, beta=2)
+        assert r.witness["S"] == [2, 3, 5, 7]
+        assert self.digest(r) == "d7f0ebf9166a0537a5c32e42db40b1201e45b9e49447838246d5a20a73519765"

@@ -8,6 +8,7 @@ from pandora import (
     AdditiveCost,
     CapabilityError,
     DomainError,
+    GapReport,
     Instance,
     adaptivity_gap,
     bernoulli,
@@ -249,3 +250,28 @@ class TestAdaptivityGap:
         r = adaptivity_gap(inst)
         assert r.opt_adaptive >= r.opt_fixed_order >= r.opt_impulsive >= 0
         assert r.strict_gap["adaptive_vs_fixed"] == (r.opt_adaptive > r.opt_fixed_order)
+
+    def test_broken_chain_is_refused_even_under_python_O(self):
+        # a violating report must fail loudly also when asserts are compiled out
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import pandora
+
+        program = (
+            "import sys\n"
+            "from fractions import Fraction\n"
+            "from pandora import GapReport, PolicyTree\n"
+            "assert False, 'asserts are live'\n"
+            "GapReport(Fraction(1), Fraction(2), None, PolicyTree.halt(), None, None, {})\n"
+        )
+        src = str(Path(pandora.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-O", "-c", program], capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.returncode == 1
+        assert "AssertionError: class chain" in done.stderr
+        assert "asserts are live" not in done.stderr
+        with pytest.raises(AssertionError, match="class chain"):
+            GapReport(rat(1), rat(1), rat(2), None, None, None, {})

@@ -64,18 +64,13 @@ def _counted_copy(instance: Instance):
 def _cmd_solve(args) -> tuple[dict, int]:
     instance = _read_instance(args.instance)
     digest = digest_instance(instance)
-    counter = None
-    # weitzman dispatches on the concrete cost type, so it keeps the bare
-    # instance; multiprocess runs cannot share a counter either way
-    if args.cls != "weitzman" and args.jobs == 1:
-        run_on, counter = _counted_copy(instance)
-    else:
-        run_on = instance
+    # weitzman dispatches on the concrete cost type, so it keeps the bare instance
+    run_on, counter = (instance, None) if args.cls == "weitzman" else _counted_copy(instance)
     t0 = time.perf_counter()
     if args.cls == "adaptive":
         utility, strategy = optimal_adaptive(run_on)
     elif args.cls == "fixed_order":
-        strategy, utility = optimal_fixed_order(run_on, jobs=args.jobs)
+        strategy, utility = optimal_fixed_order(run_on)
     elif args.cls == "impulsive":
         strategy, utility = optimal_impulsive(run_on)
     else:
@@ -96,13 +91,9 @@ def _cmd_solve(args) -> tuple[dict, int]:
 def _cmd_gap(args) -> tuple[dict, int]:
     instance = _read_instance(args.instance)
     digest = digest_instance(instance)
-    counter = None
-    if args.jobs == 1:
-        run_on, counter = _counted_copy(instance)
-    else:
-        run_on = instance
+    run_on, counter = _counted_copy(instance)
     t0 = time.perf_counter()
-    report = adaptivity_gap(run_on, jobs=args.jobs)
+    report = adaptivity_gap(run_on)
     elapsed = time.perf_counter() - t0
     payload = {
         "command": "gap",
@@ -118,7 +109,7 @@ def _cmd_gap(args) -> tuple[dict, int]:
             "impulsive": (None if report.witness_impulsive is None
                           else strategy_to_json(report.witness_impulsive)),
         },
-        "query_count": counter.count if counter is not None else None,
+        "query_count": counter.count,
         "wall_time_ms": round(elapsed * 1000, 3),
     }
     return payload, EXIT_OK
@@ -272,24 +263,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, instance=True, jobs=False):
+    def add_common(p, instance=True):
         if instance:
             p.add_argument("-i", "--instance", required=True, metavar="FILE",
                            help="instance JSON file ('-' for stdin)")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="worker processes for the permutation scan")
         p.add_argument("--human", action="store_true",
                        help="aligned text output instead of JSON")
 
     p = sub.add_parser("solve", help="run one solver on an instance")
     p.add_argument("--class", dest="cls", choices=_SOLVE_CLASSES,
                    default="adaptive")
-    add_common(p, jobs=True)
+    add_common(p)
     p.set_defaults(handler=_cmd_solve)
 
     p = sub.add_parser("gap", help="compare the strategy classes exactly")
-    add_common(p, jobs=True)
+    add_common(p)
     p.set_defaults(handler=_cmd_gap)
 
     p = sub.add_parser("validate", help="check a declared cost class")

@@ -40,6 +40,10 @@ from .strategies import (
 FORMAT = "pandora-instance"
 VERSION = 1
 
+# A hardness cost builds its ground 1..n.  Nested in a projection (a restricted
+# or lifted instance) it has more labels than boxes, so this bounds its n.
+MAX_NESTED_HARDNESS_N = 1 << 16
+
 
 # ---------------------------------------------------------------------------
 # costs
@@ -55,7 +59,8 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
-def cost_from_json(data: dict) -> CostOracle:
+def cost_from_json(data: dict, *, boxes: int | None = None) -> CostOracle:
+    """`boxes` is the box count when `data` is an instance's top-level cost."""
     if not isinstance(data, dict):
         raise ParseError(f"cost must be an object, got {type(data).__name__}")
     kind = _require(data, "kind", "cost")
@@ -87,8 +92,15 @@ def cost_from_json(data: dict) -> CostOracle:
                           for b, c in _require(data, "node_costs", kind).items()}
             return TreeClosureCost(parent, node_costs)
         if kind == "hardness":
+            n = _require(data, "n", kind)
+            if boxes is not None and n != boxes:
+                raise ParseError(f"hardness cost declares n = {n!r:.40} "
+                                 f"but the instance has {boxes} boxes")
+            if boxes is None and int(n) > MAX_NESTED_HARDNESS_N:
+                raise ParseError(f"hardness cost declares n = {n!r:.40} above the "
+                                 f"limit {MAX_NESTED_HARDNESS_N} for a nested cost")
             return HardnessCost(
-                int(_require(data, "n", kind)),
+                int(n),
                 int(_require(data, "alpha", kind)),
                 beta=int(data["beta"]) if "beta" in data else None,
                 R=[int(b) for b in data["R"]] if "R" in data else None,
@@ -135,13 +147,7 @@ def instance_from_json(data: dict) -> Instance:
         raise ParseError(f"not a {FORMAT} document: format = {data.get('format')!r}")
     cost_data = _require(data, "cost", "instance")
     items = _require(data, "boxes", "instance")
-    # a hardness cost allocates its ground 1..n: check n against the box
-    # count before anything sized by n is built
-    if isinstance(cost_data, dict) and cost_data.get("kind") == "hardness" \
-            and isinstance(items, list) and cost_data.get("n") != len(items):
-        raise ParseError(f"hardness cost declares n = {cost_data.get('n')!r:.40} "
-                         f"but the instance has {len(items)} boxes")
-    cost = cost_from_json(cost_data)
+    cost = cost_from_json(cost_data, boxes=len(items) if isinstance(items, list) else None)
     entries = []
     for item in items:
         label = int(_require(item, "label", "box"))

@@ -3,9 +3,9 @@
 All solvers are exhaustive and exact:
 
 * adaptive: subset/running-max dynamic program (2^n * |support| states);
-* fixed order with thresholds: per-permutation backward recursion, maximized
-  over all n! permutations;
-* impulsive: ordered-subset enumeration (Bernoulli instances);
+* fixed order with thresholds: depth-first search over ordered suffixes,
+  sharing the threshold recursion between orders with a common tail;
+* impulsive: depth-first search over ordered prefixes (Bernoulli instances);
 * weitzman: the classical descending reservation-value rule, additive costs
   only, used as an independent cross-check of the DP.
 
@@ -14,14 +14,12 @@ an exact comparison.
 """
 from __future__ import annotations
 
-import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .costs import AdditiveCost
 from .errors import DomainError
-from .instances import FiniteDistribution, Instance, support_union
+from .instances import ONE, FiniteDistribution, Instance, support_union
 from .limits import guard
 from .rationals import INF, Extended, rat
 from .strategies import (
@@ -29,7 +27,6 @@ from .strategies import (
     ImpulsiveStrategy,
     PolicyTree,
     eval_fixed_order,
-    eval_impulsive,
 )
 
 ZERO = Fraction(0)
@@ -91,47 +88,49 @@ def optimal_adaptive(instance: Instance) -> tuple[Fraction, PolicyTree]:
     return utility, build(0, ZERO)
 
 
-def _threshold_dp(instance: Instance, sigma: tuple[int, ...], grid: tuple[Fraction, ...],
-                  prefix: list[Fraction] | None = None) -> tuple[tuple[Extended, ...], Fraction]:
-    """Backward recursion f_i over the support grid for one permutation.
+def _backward_step(atoms, marg: Fraction, grid: tuple[Fraction, ...],
+                   nxt: dict[Fraction, Fraction]) -> tuple[dict[Fraction, Fraction], Fraction]:
+    """f_i(x) = max(0, sum_v p_v [ (v-x)^+ + f_{i+1}(max(v,x)) ] - marg) over
+    the support grid, for box sigma_i with `atoms` and marginal cost `marg` =
+    c(sigma_i | sigma_1..sigma_{i-1}); and t_i, the least grid x with f_i(x) = 0.
 
-    f_{n+1} = 0;  f_i(x) = max(0, sum_v p_v [ (v-x)^+ + f_{i+1}(max(v,x)) ]
-                                 - c(sigma_i | sigma_1..sigma_{i-1})).
-
-    t_i is the least grid x with f_i(x) = 0.  On-grid thresholds lose
-    nothing: the running max only takes grid values, so "best >= t" behaves
-    identically to "best >= (least grid value >= t)", and a least grid zero
-    of f_i always exists because f_i(max grid) = 0 (no excess above the top
-    value, and costs are nonnegative, by downward induction on i).  f_i is
-    non-increasing and 1-Lipschitz in x, which the property tests exercise.
-    `prefix[i]` = c(sigma_1..sigma_i); without it they come from `eval`.
+    On-grid thresholds lose nothing: the running max only takes grid values,
+    so "best >= t" behaves identically to "best >= (least grid value >= t)",
+    and a least grid zero of f_i always exists because f_i(max grid) = 0 (no
+    excess above the top value, and costs are nonnegative, by downward
+    induction on i).  f_i is non-increasing and 1-Lipschitz in x, which the
+    property tests exercise.
     """
+    here: dict[Fraction, Fraction] = {}
+    t_i: Extended = INF
+    for x in reversed(grid):
+        val = -marg
+        for v, p in atoms:
+            big = v if v > x else x
+            gain = v - x if v > x else ZERO
+            val += p * (gain + nxt[big])
+        if val <= 0:
+            here[x] = ZERO
+            t_i = x
+        else:
+            here[x] = val
+    assert t_i is not INF, "f_i must vanish at the top of the grid"
+    return here, t_i
+
+
+def _threshold_dp(instance: Instance,
+                  sigma: tuple[int, ...]) -> tuple[tuple[Extended, ...], Fraction]:
+    """Thresholds and utility of one (possibly partial) order: f_{n+1} = 0,
+    then one `_backward_step` per box from the back."""
     n = len(sigma)
-    if prefix is None:
-        prefix = [instance.cost.eval(sigma[:i]) for i in range(n + 1)]
-    boxes = [instance.box(b) for b in sigma]
-    nxt: dict[Fraction, Fraction] = {x: ZERO for x in grid}
+    grid = support_union(instance)
+    prefix = [instance.cost.eval(sigma[:i]) for i in range(n + 1)]
+    f: dict[Fraction, Fraction] = {x: ZERO for x in grid}
     thresholds: list[Extended] = [INF] * n
     for i in range(n - 1, -1, -1):
-        marg = prefix[i + 1] - prefix[i]
-        here: dict[Fraction, Fraction] = {}
-        t_i: Extended = INF
-        for x in reversed(grid):
-            val = -marg
-            for v, p in boxes[i].atoms:
-                big = v if v > x else x
-                gain = v - x if v > x else ZERO
-                val += p * (gain + nxt[big])
-            if val <= 0:
-                here[x] = ZERO
-                t_i = x
-            else:
-                here[x] = val
-        assert t_i is not INF, "f_i must vanish at the top of the grid"
-        thresholds[i] = t_i
-        nxt = here
-    utility = nxt[ZERO]
-    return tuple(thresholds), utility
+        f, thresholds[i] = _backward_step(instance.box(sigma[i]).atoms,
+                                          prefix[i + 1] - prefix[i], grid, f)
+    return tuple(thresholds), f[ZERO]
 
 
 def optimal_thresholds(instance: Instance,
@@ -140,63 +139,70 @@ def optimal_thresholds(instance: Instance,
     sigma = tuple(sigma)
     if set(sigma) != set(instance.labels) or len(sigma) != instance.n:
         raise DomainError(f"sigma {sigma} is not a permutation of {instance.labels}")
-    grid = support_union(instance)
-    thresholds, utility = _threshold_dp(instance, sigma, grid)
+    thresholds, utility = _threshold_dp(instance, sigma)
     return FixedOrderThresholds(sigma, thresholds), utility
 
 
-def _fixed_order_chunk(instance: Instance, perms: list[tuple[int, ...]],
-                       grid: tuple[Fraction, ...], table: tuple[Fraction, ...]):
-    bit = {b: 1 << i for i, b in enumerate(instance.labels)}
-    best = None
-    for sigma in perms:
-        # the bits are disjoint, so running sums are the prefix masks
-        prefix = [table[m] for m in itertools.accumulate((bit[b] for b in sigma), initial=0)]
-        thresholds, utility = _threshold_dp(instance, sigma, grid, prefix)
-        if best is None or utility > best[1] or (utility == best[1] and sigma < best[0]):
-            best = (sigma, utility, thresholds)
-    return best
+def optimal_fixed_order(instance: Instance) -> tuple[FixedOrderThresholds, Fraction]:
+    """Best fixed order with thresholds, by a depth-first search over suffixes.
 
-
-def optimal_fixed_order(instance: Instance,
-                        jobs: int = 1) -> tuple[FixedOrderThresholds, Fraction]:
-    """Maximize over all n! permutations; ties go to the lexicographically
-    least sigma.  `jobs` > 1 splits the permutation stream over a process
-    pool; the merge is a pure exact-max reduction, so results are identical
-    regardless of worker count."""
+    f_i depends only on the ordered suffix sigma_i..sigma_n, whose complement
+    is the set in front of sigma_i, so each node prepends one box and applies
+    one `_backward_step` to its parent's f, reading the marginal cost from
+    `cost.table()`.  Orders that share a suffix share its work: about e * n!
+    steps, against n * n! for a scan per order.  Ties go to the
+    lexicographically least sigma.
+    """
     guard("order_enum", instance.n)
     grid = support_union(instance)
     table = instance.cost.table()
-    perms = list(itertools.permutations(instance.labels))
-    if jobs > 1 and len(perms) > 1:
-        chunks = [perms[k::jobs] for k in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_fixed_order_chunk, [instance] * len(chunks),
-                                    chunks, [grid] * len(chunks), [table] * len(chunks)))
-    else:
-        results = [_fixed_order_chunk(instance, perms, grid, table)]
-    # the best utility, ties to the lexicographically least sigma
-    sigma, utility, thresholds = min(filter(None, results), key=lambda c: (-c[1], c[0]))
-    return FixedOrderThresholds(sigma, thresholds), utility
+    atoms = [instance.box(b).atoms for b in instance.labels]
+    full = (1 << instance.n) - 1
+    best = None                     # (-utility, sigma, thresholds), least wins
+
+    def grow(mask: int, f: dict[Fraction, Fraction], sigma: tuple, thresholds: tuple) -> None:
+        nonlocal best
+        if mask == full and (best is None or (-f[ZERO], sigma) < best[:2]):
+            best = (-f[ZERO], sigma, thresholds)
+        head = full ^ mask          # the boxes in front of the suffix
+        for i, b in enumerate(instance.labels):
+            if head >> i & 1:
+                here, t_i = _backward_step(atoms[i], table[head] - table[head ^ 1 << i], grid, f)
+                grow(mask | 1 << i, here, (b,) + sigma, (t_i,) + thresholds)
+
+    grow(0, {x: ZERO for x in grid}, (), ())
+    neg_utility, sigma, thresholds = best
+    return FixedOrderThresholds(sigma, thresholds), -neg_utility
 
 
 def optimal_impulsive(instance: Instance) -> tuple[ImpulsiveStrategy, Fraction]:
-    """Best impulsive strategy by enumerating every ordered subset of boxes.
+    """Best impulsive strategy, by a depth-first search over ordered prefixes.
 
-    Bernoulli instances only.  The empty strategy (utility 0) is always a
-    candidate; ties go to the lexicographically least tuple.
+    Bernoulli instances only.  Appending box b to an order that opened P
+    updates eval_impulsive's sum in O(1) from `cost.table()`: A += Q p_b (v_b
+    - c(P u b)), Q *= q_b, utility A - Q c(P u b).  Orders are visited in
+    lexicographic order after the empty one (utility 0), and only a strictly
+    better one replaces the best, so ties go to the least tuple.
     """
     if not instance.is_bernoulli():
         raise DomainError("impulsive strategies need a weighted-Bernoulli instance")
     guard("order_enum", instance.n)
-    best_order: tuple[int, ...] = ()
-    best_u = ZERO
-    for k in range(1, instance.n + 1):
-        for order in itertools.permutations(instance.labels, k):
-            u = eval_impulsive(instance, order)
-            if u > best_u or (u == best_u and order < best_order):
-                best_order, best_u = order, u
-    return ImpulsiveStrategy(best_order), best_u
+    table = instance.cost.table()
+    boxes = [(b, instance.bernoulli(b)) for b in instance.labels]
+    best: tuple[tuple[int, ...], Fraction] = ((), ZERO)
+
+    def grow(mask: int, order: tuple, A: Fraction, Q: Fraction) -> None:
+        nonlocal best
+        for i, (b, wb) in enumerate(boxes):
+            if not mask >> i & 1:
+                c = table[mask | 1 << i]
+                a, q = A + Q * wb.prob * (wb.value - c), Q * wb.q
+                if a - q * c > best[1]:
+                    best = (order + (b,), a - q * c)
+                grow(mask | 1 << i, order + (b,), a, q)
+
+    grow(0, (), ZERO, ONE)
+    return ImpulsiveStrategy(best[0]), best[1]
 
 
 def reservation_value(box: FiniteDistribution, c_i) -> Fraction:
@@ -287,10 +293,10 @@ class GapReport:
             raise AssertionError(f"class chain broken: {[str(u) for u in chain]}")
 
 
-def adaptivity_gap(instance: Instance, jobs: int = 1) -> GapReport:
+def adaptivity_gap(instance: Instance) -> GapReport:
     """Run every applicable solver and compare the optima exactly."""
     utility_a, tree = optimal_adaptive(instance)
-    fixed, utility_f = optimal_fixed_order(instance, jobs=jobs)
+    fixed, utility_f = optimal_fixed_order(instance)
     if instance.is_bernoulli():
         imp, utility_i = optimal_impulsive(instance)
         gaps = {

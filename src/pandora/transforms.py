@@ -25,7 +25,7 @@ from .costs import (
     _masks_by_size,
 )
 from .errors import DomainError
-from .instances import FiniteDistribution, Instance, WeightedBernoulli, support_union
+from .instances import FiniteDistribution, Instance, WeightedBernoulli
 from .rationals import rat
 from .solvers import _threshold_dp
 from .strategies import FixedOrderThresholds, ImpulsiveStrategy, eval_fixed_order, eval_impulsive
@@ -219,11 +219,7 @@ def pull_back_strategy(bmap: BernoullificationMap,
         if i not in prefix:
             prefix.append(i)
     rest = [b for b in original.labels if b not in prefix]
-    if prefix:
-        grid = support_union(original)
-        prefix_thresholds, _ = _threshold_dp(original, tuple(prefix), grid)
-    else:
-        prefix_thresholds = ()
+    prefix_thresholds, _ = _threshold_dp(original, tuple(prefix))
     sigma = tuple(prefix) + tuple(rest)
     thresholds = tuple(prefix_thresholds) + (ZERO,) * len(rest)
     strategy = FixedOrderThresholds(sigma, thresholds)

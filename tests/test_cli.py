@@ -2,7 +2,14 @@ import json
 
 import pytest
 
-from pandora import dumps_instance, example1, save_instance, subadditive4, unit_demand_pair
+from pandora import (
+    dumps_instance,
+    example1,
+    random_instance,
+    save_instance,
+    subadditive4,
+    unit_demand_pair,
+)
 from pandora.cli import main
 
 
@@ -66,12 +73,14 @@ class TestSolve:
         assert code == 0
         assert data["utility"] == "21/2"
 
-    def test_jobs_flag_disables_query_counting(self, capsys, example1_path):
-        code, data = run_json(capsys, "solve", "-i", example1_path,
-                              "--class", "fixed_order", "--jobs", "2")
-        assert code == 0
-        assert data["utility"] == "10"
-        assert data["query_count"] is None
+    def test_query_count_is_distinct_subsets(self, capsys, tmp_path):
+        # every exhaustive solver reads the cost table: 2^6 subsets, each once
+        path = tmp_path / "bernoulli6.json"
+        save_instance(random_instance("bernoulli_coverage", 6, 3), path)
+        for cls in ("adaptive", "fixed_order", "impulsive"):
+            code, data = run_json(capsys, "solve", "-i", str(path), "--class", cls)
+            assert code == 0
+            assert data["query_count"] == 64
 
     def test_missing_file(self, capsys, tmp_path):
         code, data = run_json(capsys, "solve", "-i", str(tmp_path / "nope.json"))
@@ -96,6 +105,20 @@ class TestSolve:
         assert data["error"]["type"] == "parse"
         assert "n = 1000000000" in data["error"]["message"]
         assert "0 boxes" in data["error"]["message"]
+
+    def test_nested_hardness_n_is_bounded(self, capsys, tmp_path):
+        # the inner cost of a projection has no box count to match, so a
+        # named limit refuses its n before the ground 1..n is built
+        tiny = tmp_path / "nested_huge_n.json"
+        tiny.write_text('{"boxes": [], "cost": {"kind": "projection", "ground": [], "label_map": {},'
+                        ' "inner": {"kind": "hardness", "n": 100000000, "alpha": 1}}}')
+        assert tiny.stat().st_size < 160
+        code, data = run_json(capsys, "solve", "-i", str(tiny))
+        assert code == 2
+        assert data["error"]["type"] == "parse"
+        assert "n = 100000000" in data["error"]["message"]
+        assert "limit 65536" in data["error"]["message"]
+        assert len(data["error"]["message"]) < 200
 
     def test_label_mismatch_message_is_truncated(self, capsys, tmp_path):
         boxes = [{"label": 100 + b, "atoms": [["1", "1"]]} for b in range(1, 2001)]
@@ -255,8 +278,25 @@ class TestCorpusAndVerify:
 
 
 class TestPlumbing:
-    def test_no_command_is_usage(self, capsys):
+    def test_no_command_is_usage(self, capsys, example1_path):
         assert main([]) == 2
+        assert main(["solve", "-i", example1_path, "--jobs", "2"]) == 2
+
+    def test_import_starts_no_process_pool(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import pandora
+
+        program = ("import sys, pandora.cli\n"
+                   "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n")
+        src = str(Path(pandora.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

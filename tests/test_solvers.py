@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pandora import (
     AdditiveCost,
@@ -37,6 +37,9 @@ from oracles import (
 )
 
 seeds = st.integers(0, 2 ** 31 - 1)
+families = st.sampled_from(("bernoulli_coverage", "bernoulli_tree", "bernoulli_hardness",
+                            "general_coverage", "additive", "explicit_subadditive"))
+sizes = st.integers(1, 5)
 
 
 class TestOptimalAdaptive:
@@ -114,16 +117,16 @@ class TestOptimalFixedOrder:
         with pytest.raises(CapabilityError):
             optimal_fixed_order(inst)
 
-    def test_jobs_do_not_change_the_answer(self):
-        inst = random_instance("general_coverage", 4, 7)
-        assert optimal_fixed_order(inst, jobs=2) == optimal_fixed_order(inst)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seeds)
-    def test_matches_exhaustive_oracle(self, seed):
-        inst = random_instance("general_coverage", (seed % 3) + 1, seed)
-        _, u = optimal_fixed_order(inst)
+    @settings(max_examples=40, deadline=None)
+    @given(families, sizes, seeds)
+    def test_matches_exhaustive_oracle(self, family, n, seed):
+        assume(family != "bernoulli_hardness" or n > 1)
+        inst = random_instance(family, n, seed)
+        s, u = optimal_fixed_order(inst)
         assert u == best_fixed_order_utility(inst)
+        # the witness: the least sigma whose best thresholds reach the optimum
+        scans = [optimal_thresholds(inst, sigma) for sigma in itertools.permutations(inst.labels)]
+        assert (s, u) == next(scan for scan in scans if scan[1] == u)
 
 
 class TestOptimalImpulsive:
@@ -147,13 +150,17 @@ class TestOptimalImpulsive:
         with pytest.raises(DomainError, match="Bernoulli"):
             optimal_impulsive(subadditive4())
 
-    @settings(max_examples=25, deadline=None)
-    @given(seeds)
-    def test_matches_exhaustive_oracle(self, seed):
-        inst = random_instance("bernoulli_coverage", (seed % 3) + 1, seed)
+    @settings(max_examples=40, deadline=None)
+    @given(families, sizes, seeds)
+    def test_matches_exhaustive_oracle(self, family, n, seed):
+        assume(family != "bernoulli_hardness" or n > 1)
+        inst = random_instance(family, n, seed, {"bernoulli": True})
         s, u = optimal_impulsive(inst)
         assert u == best_impulsive_utility(inst)
-        assert eval_impulsive(inst, s.order) == u
+        # the witness: the least ordered subset whose utility reaches the optimum
+        orders = sorted(order for k in range(n + 1)
+                        for order in itertools.permutations(inst.labels, k))
+        assert s.order == next(order for order in orders if eval_impulsive(inst, order) == u)
 
 
 class TestReservationValue:

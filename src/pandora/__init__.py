@@ -33,7 +33,6 @@ from .costs import (
     TreeClosureCost,
     XosCost,
     marginal_cost,
-    with_counter,
     xos_lift,
 )
 from .errors import CapabilityError, DomainError, PandoraError, ParseError
@@ -137,5 +136,5 @@ __all__ = [
     "strategy_to_json", "subadditive4", "support_union",
     "symmetric_impulsive_utility", "symmetric_impulsive_utility_exact",
     "unit_demand_pair", "validate_class", "verify_family", "weitzman",
-    "with_counter", "xos_lift", "xos_lift_of",
+    "xos_lift", "xos_lift_of",
 ]

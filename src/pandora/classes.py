@@ -6,6 +6,10 @@ violating tuple.  XOS is deliberately absent -- recognizing XOS structure
 from value queries is intractable, so XOS claims are always backed by an
 explicit clause certificate (see `XosCost.matches`).
 
+The checks compare integers: the cost table is scaled once by D, the lcm of
+its denominators (`rationals.scaled`), and witness values are rendered back
+as the Fractions x / D, so a witness reads as it would in exact rationals.
+
 The hierarchy being checked:  additive < gross substitutes < submodular <
 XOS < subadditive, with matroid rank functions sitting inside gross
 substitutes.
@@ -13,10 +17,12 @@ substitutes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .costs import CostOracle, _labels_of
 from .errors import DomainError
 from .limits import guard
+from .rationals import scaled
 
 __all__ = ["ClassReport", "validate_class", "VALIDATORS"]
 
@@ -31,10 +37,10 @@ class ClassReport:
         return self.passed
 
 
-def _check_monotone_normalized(labels, vals) -> dict | None:
+def _check_monotone_normalized(labels, vals, D) -> dict | None:
     n = len(labels)
     if vals[0] != 0:
-        return {"reason": "not normalized", "c_empty": str(vals[0])}
+        return {"reason": "not normalized", "c_empty": str(Fraction(vals[0], D))}
     for mask in range(1 << n):
         for i in range(n):
             if mask >> i & 1:
@@ -44,39 +50,40 @@ def _check_monotone_normalized(labels, vals) -> dict | None:
                     "reason": "not monotone",
                     "S": _labels_of(mask, labels),
                     "x": labels[i],
-                    "c_S": str(vals[mask]),
-                    "c_Sx": str(vals[mask | 1 << i]),
+                    "c_S": str(Fraction(vals[mask], D)),
+                    "c_Sx": str(Fraction(vals[mask | 1 << i], D)),
                 }
     return None
 
 
-def _check_submodular(labels, vals) -> dict | None:
+def _check_submodular(labels, vals, D) -> dict | None:
     # Local characterization: c(x|A) >= c(x|A u {j}) for every A and distinct
     # x, j outside A.  Equivalent to the definitional "c(x|B) <= c(x|A) for
     # all A <= B, x outside B" (chain the one-step drops along B - A), and
-    # quadratic instead of exponential in the number of set pairs.
+    # quadratic instead of exponential in the number of set pairs.  The
+    # condition is symmetric in x and j, so each pair is tried once, x < j:
+    # the least x in a violating pair, with its least partner, is still the
+    # first violation in (x, j) order.
     n = len(labels)
     for mask in range(1 << n):
         free = [i for i in range(n) if not mask >> i & 1]
-        for i in free:
-            base = vals[mask | 1 << i] - vals[mask]
-            for j in free:
-                if j == i:
-                    continue
+        for a, i in enumerate(free):
+            with_i = vals[mask | 1 << i]
+            for j in free[a + 1:]:
                 bigger = mask | 1 << j
-                if vals[bigger | 1 << i] - vals[bigger] > base:
+                if vals[bigger | 1 << i] + vals[mask] > with_i + vals[bigger]:
                     return {
                         "reason": "marginal grows",
                         "x": labels[i],
                         "A": _labels_of(mask, labels),
                         "B": _labels_of(bigger, labels),
-                        "c_x_given_A": str(base),
-                        "c_x_given_B": str(vals[bigger | 1 << i] - vals[bigger]),
+                        "c_x_given_A": str(Fraction(with_i - vals[mask], D)),
+                        "c_x_given_B": str(Fraction(vals[bigger | 1 << i] - vals[bigger], D)),
                     }
     return None
 
 
-def _check_subadditive(labels, vals) -> dict | None:
+def _check_subadditive(labels, vals, D) -> dict | None:
     # Disjoint pairs suffice: for overlapping A, B monotonicity gives
     # c(A u B) <= c(A) + c(B \ A) <= c(A) + c(B).  3^n submask pairs.
     n = len(labels)
@@ -88,34 +95,36 @@ def _check_subadditive(labels, vals) -> dict | None:
                 return {
                     "A": _labels_of(sub, labels),
                     "B": _labels_of(rest, labels),
-                    "c_AB": str(vals[mask]),
-                    "c_A": str(vals[sub]),
-                    "c_B": str(vals[rest]),
+                    "c_AB": str(Fraction(vals[mask], D)),
+                    "c_A": str(Fraction(vals[sub], D)),
+                    "c_B": str(Fraction(vals[rest], D)),
                 }
             sub = (sub - 1) & mask
     return None
 
 
-def _check_matroid_rank(labels, vals) -> dict | None:
+def _check_matroid_rank(labels, vals, D) -> dict | None:
     n = len(labels)
-    bad = _check_monotone_normalized(labels, vals)
+    bad = _check_monotone_normalized(labels, vals, D)
     if bad:
         return bad
     for mask in range(1 << n):
         v = vals[mask]
-        if v.denominator != 1:
-            return {"reason": "not integral", "S": _labels_of(mask, labels), "c_S": str(v)}
-        if v > mask.bit_count():
-            return {"reason": "exceeds cardinality", "S": _labels_of(mask, labels), "c_S": str(v)}
-    return _check_submodular(labels, vals)
+        if v % D:
+            return {"reason": "not integral", "S": _labels_of(mask, labels),
+                    "c_S": str(Fraction(v, D))}
+        if v > mask.bit_count() * D:
+            return {"reason": "exceeds cardinality", "S": _labels_of(mask, labels),
+                    "c_S": str(Fraction(v, D))}
+    return _check_submodular(labels, vals, D)
 
 
-def _check_gross_substitutes(labels, vals) -> dict | None:
+def _check_gross_substitutes(labels, vals, D) -> dict | None:
     # Submodularity plus the triple condition: for every S and distinct
     # i, j, k outside S the multiset
     #   { f(ij|S)+f(k|S),  f(i|S)+f(jk|S),  f(j|S)+f(ik|S) }
     # must not have a unique maximum.
-    bad = _check_submodular(labels, vals)
+    bad = _check_submodular(labels, vals, D)
     if bad:
         bad["reason"] = "not submodular: " + bad["reason"]
         return bad
@@ -139,7 +148,7 @@ def _check_gross_substitutes(labels, vals) -> dict | None:
                             "reason": "unique max in triple",
                             "S": _labels_of(mask, labels),
                             "triple": [labels[i], labels[j], labels[k]],
-                            "values": [str(e) for e in exprs],
+                            "values": [str(Fraction(e, D)) for e in exprs],
                         }
     return None
 
@@ -165,5 +174,6 @@ def validate_class(oracle: CostOracle, cls: str) -> ClassReport:
     if check is None:
         raise DomainError(f"unknown cost class {cls!r}; choose from {sorted(VALIDATORS)}")
     guard("gross_substitutes" if cls == "gross_substitutes" else "validator", oracle.arity)
-    witness = check(oracle.ground, oracle.table())
+    vals, D = scaled(oracle.table())
+    witness = check(oracle.ground, vals, D)
     return ClassReport(cls=cls, passed=witness is None, witness=witness)

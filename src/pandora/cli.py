@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import corpus as corpus_mod
 from . import hardness as hardness_mod
 from .classes import VALIDATORS, validate_class
-from .costs import with_counter
+from .costs import QueryCountingOracle
 from .errors import CapabilityError, DomainError, ParseError
 from .instances import Instance
 from .rationals import fmt, rat
@@ -53,7 +53,7 @@ def _read_instance(path: str) -> Instance:
 
 
 def _counted_copy(instance: Instance):
-    counted = with_counter(instance.cost)
+    counted = QueryCountingOracle(instance.cost)
     return Instance(instance.boxes, counted, instance.cost_class), counted
 
 

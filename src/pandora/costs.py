@@ -517,11 +517,6 @@ class QueryCountingOracle(CostOracle):
         return self.inner.eval(S)
 
 
-def with_counter(oracle: CostOracle) -> QueryCountingOracle:
-    """Wrap an oracle so every evaluation is counted; the count starts at 0."""
-    return QueryCountingOracle(oracle)
-
-
 def xos_lift(f: CostOracle) -> XosCost:
     """Lift a monotone normalized f on X to an XOS g on {0} u X.
 

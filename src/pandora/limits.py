@@ -4,6 +4,10 @@ Every solver and validator in this package is exhaustive, so box counts are
 capped.  The caps are deliberate defaults, not hard truths: setting the
 ``PANDORA_MAX_N`` environment variable replaces all of them at once (use at
 your own risk -- runtimes are exponential).
+
+The kernels run on integers scaled to common denominators, whose size
+depends on the denominators in the input, not on n alone.  `SCALED_BITS`
+caps them; it is a fixed memory bound, so ``PANDORA_MAX_N`` leaves it alone.
 """
 from __future__ import annotations
 
@@ -19,6 +23,9 @@ DEFAULT_BOUNDS = {
     "xos_lift": 14,        # 2^n clauses
     "random_instance": 14,
 }
+
+# the bits of scaled integers one kernel may hold (32 MiB)
+SCALED_BITS = 1 << 28
 
 
 def bound(kind: str) -> int:
@@ -38,4 +45,14 @@ def guard(kind: str, n: int) -> None:
         raise CapabilityError(
             f"{kind} enumeration is capped at n <= {b} (got n = {n}); "
             f"set PANDORA_MAX_N to override"
+        )
+
+
+def guard_bits(count: int, bits: int) -> None:
+    """Raise CapabilityError if `count` integers of `bits` bits each exceed
+    SCALED_BITS; checked before the integers are built."""
+    if count * bits > SCALED_BITS:
+        raise CapabilityError(
+            f"exact integer scaling would hold {count} numbers of up to {bits} bits, "
+            f"above the budget of {SCALED_BITS} bits"
         )

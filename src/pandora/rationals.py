@@ -1,16 +1,21 @@
-"""Exact rational plumbing: coercion, formatting, and the +inf sentinel.
+"""Exact rational plumbing: coercion, formatting, scaling, and the +inf sentinel.
 
-All probabilities, values, costs and utilities in this package are
-`fractions.Fraction`.  The single exception is the hardness lab, which works
-in floats at n = 10^5 with a documented tolerance.  Thresholds additionally
-admit `math.inf` ("never halt"), which is why a couple of helpers here speak
-of *extended* rationals.
+All probabilities, values, costs and utilities that enter or leave this
+package are `fractions.Fraction`.  Inside, the exhaustive kernels (the
+validators and the solvers) first scale their numbers to a common
+denominator with `scaled` and then run on plain ints, which are just as
+exact and much cheaper.  The single exception is the hardness lab, which
+works in floats at n = 10^5 with a documented tolerance.  Thresholds
+additionally admit `math.inf` ("never halt"), which is why a couple of
+helpers here speak of *extended* rationals.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
+from typing import Sequence, Union
+
+from .limits import guard_bits
 
 INF = math.inf
 
@@ -43,6 +48,24 @@ def fmt(x: Extended) -> str:
     if x == -INF:
         return "-inf"
     return str(rat(x))
+
+
+def scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, D) with ints[k] = values[k] * D and D the lcm of the denominators.
+
+    Raises CapabilityError before building the ints when they would exceed
+    the bit budget of `limits.guard_bits`: distinct denominators multiply
+    into D, so the ints can be far larger than the Fractions they replace.
+    D is checked as it grows, so a refusal costs no more than an acceptance.
+    """
+    top = max((x.numerator.bit_length() for x in values), default=0)
+    dens = {x.denominator for x in values}
+    D = 1
+    for d in dens:
+        D = math.lcm(D, d)
+        guard_bits(len(values), D.bit_length() + top)
+    factor = {d: D // d for d in dens}
+    return [x.numerator * factor[x.denominator] for x in values], D
 
 
 def parse_extended(s: str) -> Extended:

@@ -43,6 +43,9 @@ VERSION = 1
 # A hardness cost builds its ground 1..n.  Nested in a projection (a restricted
 # or lifted instance) it has more labels than boxes, so this bounds its n.
 MAX_NESTED_HARDNESS_N = 1 << 16
+# Projections nested deeper than this are refused before any cost is built:
+# evaluation recurses once per level.  Transforms and the loader nest a few.
+MAX_NESTING = 64
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +109,11 @@ def cost_from_json(data: dict, *, boxes: int | None = None) -> CostOracle:
                 R=[int(b) for b in data["R"]] if "R" in data else None,
             )
         if kind == "projection":
+            inner, depth = data, 0
+            while isinstance(inner, dict) and inner.get("kind") == "projection":
+                inner, depth = inner.get("inner"), depth + 1
+                if depth > MAX_NESTING:
+                    raise ParseError(f"projection costs nested deeper than {MAX_NESTING}")
             return ProjectionCost(
                 [int(b) for b in _require(data, "ground", kind)],
                 {int(b): int(i) for b, i in _require(data, "label_map", kind).items()},
@@ -198,6 +206,10 @@ def loads_instance(text: str) -> Instance:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno,
                          column=exc.colno) from exc
+    except ValueError as exc:       # an integer literal past the digit limit
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
     return instance_from_json(data)
 
 

@@ -2,15 +2,20 @@
 
 All solvers are exhaustive and exact:
 
-* adaptive: subset/running-max dynamic program (2^n * |support| states);
+* adaptive: subset/running-max dynamic program (2^n * |support| states),
+  bottom-up over subsets;
 * fixed order with thresholds: depth-first search over ordered suffixes,
   sharing the threshold recursion between orders with a common tail;
 * impulsive: depth-first search over ordered prefixes (Bernoulli instances);
 * weitzman: the classical descending reservation-value rule, additive costs
   only, used as an independent cross-check of the DP.
 
-Utilities are Fractions end to end; "strictly positive utility" always means
-an exact comparison.
+Instances come in and utilities, thresholds and witnesses go out as
+Fractions.  In between, the exhaustive kernels run on Python ints: values and
+costs scaled to one common denominator and probabilities to another (see
+`_integer_view`), which keeps every comparison exact -- "strictly positive
+utility" still means an exact comparison -- at a fraction of the cost of
+Fraction arithmetic.
 """
 from __future__ import annotations
 
@@ -19,9 +24,9 @@ from fractions import Fraction
 
 from .costs import AdditiveCost
 from .errors import DomainError
-from .instances import ONE, FiniteDistribution, Instance, support_union
-from .limits import guard
-from .rationals import INF, Extended, rat
+from .instances import FiniteDistribution, Instance, support_union
+from .limits import guard, guard_bits
+from .rationals import INF, Extended, rat, scaled
 from .strategies import (
     FixedOrderThresholds,
     ImpulsiveStrategy,
@@ -30,6 +35,36 @@ from .strategies import (
 )
 
 ZERO = Fraction(0)
+
+
+def _integer_view(instance: Instance, costs, vectors: int):
+    """The instance on integers, for the exhaustive kernels below.
+
+    Returns (grid, boxes, costs, Dv, Dp).  `grid` is `support_union`; a
+    running max x is an index into it.  Values and `costs` are scaled by Dv,
+    the lcm of their denominators, and probabilities by Dp, the lcm over
+    every box.  Per box, in label order: its atoms as (grid index, p * Dp),
+    then over the grid E[(V - x)^+] * Dv * Dp and P(V <= x) * Dp.
+
+    A quantity with k boxes still to open is held at scale Dv * Dp^k, so
+    numbers compared with one another share one scale.  Raises
+    CapabilityError first if `vectors` grid vectors of them would exceed the
+    bit budget.
+    """
+    grid = support_union(instance)
+    ints, Dv = scaled(grid + tuple(costs))
+    values, costs = ints[:len(grid)], ints[len(grid):]
+    probs, Dp = scaled([p for box in instance.boxes for _, p in box.atoms])
+    guard_bits(vectors * len(grid), values[-1].bit_length() + instance.n * Dp.bit_length())
+    index = {v: k for k, v in enumerate(grid)}
+    probs = iter(probs)
+    boxes = []
+    for box in instance.boxes:
+        atoms = [(index[v], next(probs)) for v, _ in box.atoms]
+        excess = [sum(p * (values[v] - y) for v, p in atoms if v > x) for x, y in enumerate(values)]
+        low = [sum(p for v, p in atoms if v <= x) for x in range(len(grid))]
+        boxes.append((atoms, excess, low))
+    return grid, boxes, costs, Dv, Dp
 
 
 def optimal_adaptive(instance: Instance) -> tuple[Fraction, PolicyTree]:
@@ -44,55 +79,55 @@ def optimal_adaptive(instance: Instance) -> tuple[Fraction, PolicyTree]:
                     + sum_v p_v ((v - x)^+ + W(S u {i}, max(x, v))) ])
 
     and the utility is W(empty, 0).  x only ever takes support values (plus
-    0), so the state space is finite and the recursion exact.  Witness tree
-    tie-breaks: Halt whenever W = 0; otherwise the smallest-labelled
-    maximizing box.
+    0), so the state space is finite and the recursion exact.  W(S, .) is a
+    vector over the grid, filled from the full set down: each box outside S
+    contributes one `_backward_step` of W(S u {i}, .), and W(S, .) is their
+    elementwise max.  It is held at scale Dv * Dp^(n - |S|) (`_integer_view`).
+    Witness tree tie-breaks: Halt whenever W = 0; otherwise the
+    smallest-labelled maximizing box.
     """
     guard("adaptive", instance.n)
     labels = instance.labels
     n = instance.n
-    atoms = [instance.box(b).atoms for b in labels]
     table = instance.cost.table()
-    memo: dict[tuple[int, Fraction], Fraction] = {}
+    grid, boxes, costs, Dv, Dp = _integer_view(instance, table, len(table))
+    lift = [Dp ** k for k in range(n + 1)]
+    full = len(table) - 1
+    W: list = [None] * full + [[0] * len(grid)]
 
-    def opening(mask: int, x: Fraction, i: int) -> Fraction:
-        # value of opening box i in state (mask, x), then playing optimally
+    def opening(mask: int, i: int) -> list[int]:
+        # for every x: the value of opening box i in state (mask, x), then
+        # playing optimally, floored at 0 (halting)
+        k = n - mask.bit_count()
         nxt = mask | 1 << i
-        val = table[mask] - table[nxt]  # == -marginal cost of box i
-        for v, p in atoms[i]:
-            gain = v - x if v > x else ZERO
-            val += p * (gain + W(nxt, v if v > x else x))
-        return val
+        return _backward_step(boxes[i], (costs[nxt] - costs[mask]) * lift[k], lift[k - 1],
+                              W[nxt])[0]
 
-    def W(mask: int, x: Fraction) -> Fraction:
-        key = (mask, x)
-        hit = memo.get(key)
-        if hit is None:
-            hit = memo[key] = max([ZERO] + [opening(mask, x, i) for i in range(n)
-                                            if not mask >> i & 1])
-        return hit
+    for mask in range(full - 1, -1, -1):
+        W[mask] = [max(col) for col in zip(*(opening(mask, i) for i in range(n)
+                                             if not mask >> i & 1))]
 
-    def build(mask: int, x: Fraction) -> PolicyTree:
-        target = W(mask, x)
+    def build(mask: int, x: int) -> PolicyTree:
+        target = W[mask][x]
         if target == 0:
             return PolicyTree.halt()
-        chosen = next(i for i in range(n)
-                      if not mask >> i & 1 and opening(mask, x, i) == target)
+        i = next(i for i in range(n) if not mask >> i & 1 and opening(mask, i)[x] == target)
         children = {
-            v: build(mask | 1 << chosen, v if v > x else x)
-            for v, _ in atoms[chosen]
+            grid[v]: build(mask | 1 << i, v if v > x else x)
+            for v, _ in boxes[i][0]
         }
-        return PolicyTree.open(labels[chosen], children)
+        return PolicyTree.open(labels[i], children)
 
-    utility = W(0, ZERO)
-    return utility, build(0, ZERO)
+    return Fraction(W[0][0], Dv * lift[n]), build(0, 0)
 
 
-def _backward_step(atoms, marg: Fraction, grid: tuple[Fraction, ...],
-                   nxt: dict[Fraction, Fraction]) -> tuple[dict[Fraction, Fraction], Fraction]:
+def _backward_step(box, cut: int, lift: int, nxt: list[int]) -> tuple[list[int], int]:
     """f_i(x) = max(0, sum_v p_v [ (v-x)^+ + f_{i+1}(max(v,x)) ] - marg) over
-    the support grid, for box sigma_i with `atoms` and marginal cost `marg` =
-    c(sigma_i | sigma_1..sigma_{i-1}); and t_i, the least grid x with f_i(x) = 0.
+    the support grid, for box sigma_i (as in `_integer_view`) with marginal
+    cost marg = c(sigma_i | sigma_1..sigma_{i-1}); and t_i, the grid index of
+    the least x with f_i(x) = 0.  With k boxes from sigma_i on, `nxt` is
+    f_{i+1} at scale Dv * Dp^(k-1), `lift` = Dp^(k-1), `cut` = marg * Dv *
+    Dp^k, and f_i comes back at scale Dv * Dp^k.
 
     On-grid thresholds lose nothing: the running max only takes grid values,
     so "best >= t" behaves identically to "best >= (least grid value >= t)",
@@ -101,20 +136,22 @@ def _backward_step(atoms, marg: Fraction, grid: tuple[Fraction, ...],
     induction on i).  f_i is non-increasing and 1-Lipschitz in x, which the
     property tests exercise.
     """
-    here: dict[Fraction, Fraction] = {}
-    t_i: Extended = INF
-    for x in reversed(grid):
-        val = -marg
-        for v, p in atoms:
-            big = v if v > x else x
-            gain = v - x if v > x else ZERO
-            val += p * (gain + nxt[big])
-        if val <= 0:
-            here[x] = ZERO
-            t_i = x
-        else:
+    atoms, excess, low = box
+    here = [0] * len(nxt)
+    t_i = None
+    above = 0                       # sum of p_v f_{i+1}(v) over atoms v > x
+    j = len(atoms) - 1
+    for x in range(len(nxt) - 1, -1, -1):
+        while j >= 0 and atoms[j][0] > x:
+            v, p = atoms[j]
+            above += p * nxt[v]
+            j -= 1
+        val = excess[x] * lift + above + low[x] * nxt[x] - cut
+        if val > 0:
             here[x] = val
-    assert t_i is not INF, "f_i must vanish at the top of the grid"
+        else:
+            t_i = x
+    assert t_i is not None, "f_i must vanish at the top of the grid"
     return here, t_i
 
 
@@ -123,14 +160,18 @@ def _threshold_dp(instance: Instance,
     """Thresholds and utility of one (possibly partial) order: f_{n+1} = 0,
     then one `_backward_step` per box from the back."""
     n = len(sigma)
-    grid = support_union(instance)
     prefix = [instance.cost.eval(sigma[:i]) for i in range(n + 1)]
-    f: dict[Fraction, Fraction] = {x: ZERO for x in grid}
+    grid, boxes, prefix, Dv, Dp = _integer_view(instance, prefix, 2)
+    position = {b: i for i, b in enumerate(instance.labels)}
+    f = [0] * len(grid)
     thresholds: list[Extended] = [INF] * n
+    lift = 1
     for i in range(n - 1, -1, -1):
-        f, thresholds[i] = _backward_step(instance.box(sigma[i]).atoms,
-                                          prefix[i + 1] - prefix[i], grid, f)
-    return tuple(thresholds), f[ZERO]
+        f, t_i = _backward_step(boxes[position[sigma[i]]],
+                                (prefix[i + 1] - prefix[i]) * lift * Dp, lift, f)
+        thresholds[i] = grid[t_i]
+        lift *= Dp
+    return tuple(thresholds), Fraction(f[0], Dv * lift)
 
 
 def optimal_thresholds(instance: Instance,
@@ -150,29 +191,31 @@ def optimal_fixed_order(instance: Instance) -> tuple[FixedOrderThresholds, Fract
     is the set in front of sigma_i, so each node prepends one box and applies
     one `_backward_step` to its parent's f, reading the marginal cost from
     `cost.table()`.  Orders that share a suffix share its work: about e * n!
-    steps, against n * n! for a scan per order.  Ties go to the
-    lexicographically least sigma.
+    steps, against n * n! for a scan per order.  Every complete order ends at
+    scale Dv * Dp^n, where ties go to the lexicographically least sigma.
     """
     guard("order_enum", instance.n)
-    grid = support_union(instance)
+    n = instance.n
     table = instance.cost.table()
-    atoms = [instance.box(b).atoms for b in instance.labels]
-    full = (1 << instance.n) - 1
+    grid, boxes, costs, Dv, Dp = _integer_view(instance, table, n + 1)
+    lift = [Dp ** k for k in range(n + 2)]
+    full = (1 << n) - 1
     best = None                     # (-utility, sigma, thresholds), least wins
 
-    def grow(mask: int, f: dict[Fraction, Fraction], sigma: tuple, thresholds: tuple) -> None:
+    def grow(mask: int, k: int, f: list[int], sigma: tuple, thresholds: tuple) -> None:
         nonlocal best
-        if mask == full and (best is None or (-f[ZERO], sigma) < best[:2]):
-            best = (-f[ZERO], sigma, thresholds)
+        if mask == full and (best is None or (-f[0], sigma) < best[:2]):
+            best = (-f[0], sigma, thresholds)
         head = full ^ mask          # the boxes in front of the suffix
         for i, b in enumerate(instance.labels):
             if head >> i & 1:
-                here, t_i = _backward_step(atoms[i], table[head] - table[head ^ 1 << i], grid, f)
-                grow(mask | 1 << i, here, (b,) + sigma, (t_i,) + thresholds)
+                here, t_i = _backward_step(boxes[i], (costs[head] - costs[head ^ 1 << i])
+                                           * lift[k + 1], lift[k], f)
+                grow(mask | 1 << i, k + 1, here, (b,) + sigma, (grid[t_i],) + thresholds)
 
-    grow(0, {x: ZERO for x in grid}, (), ())
+    grow(0, 0, [0] * len(grid), (), ())
     neg_utility, sigma, thresholds = best
-    return FixedOrderThresholds(sigma, thresholds), -neg_utility
+    return FixedOrderThresholds(sigma, thresholds), Fraction(-neg_utility, Dv * lift[n])
 
 
 def optimal_impulsive(instance: Instance) -> tuple[ImpulsiveStrategy, Fraction]:
@@ -180,29 +223,38 @@ def optimal_impulsive(instance: Instance) -> tuple[ImpulsiveStrategy, Fraction]:
 
     Bernoulli instances only.  Appending box b to an order that opened P
     updates eval_impulsive's sum in O(1) from `cost.table()`: A += Q p_b (v_b
-    - c(P u b)), Q *= q_b, utility A - Q c(P u b).  Orders are visited in
+    - c(P u b)), Q *= q_b, utility A - Q c(P u b).  After k boxes A and the
+    utility are held at scale Dv * Dp^k and Q at Dp^k; utilities are
+    compared at the common scale Dv * Dp^n.  Orders are visited in
     lexicographic order after the empty one (utility 0), and only a strictly
     better one replaces the best, so ties go to the least tuple.
     """
     if not instance.is_bernoulli():
         raise DomainError("impulsive strategies need a weighted-Bernoulli instance")
     guard("order_enum", instance.n)
+    n = instance.n
     table = instance.cost.table()
-    boxes = [(b, instance.bernoulli(b)) for b in instance.labels]
-    best: tuple[tuple[int, ...], Fraction] = ((), ZERO)
+    _, boxes, costs, Dv, Dp = _integer_view(instance, table, 1)
+    # per box (label, p_b v_b * Dv * Dp, p_b * Dp, q_b * Dp), read off the view
+    # with its value atom last and P(V <= 0) = q_b
+    boxes = [(b, excess[0], atoms[-1][1], low[0])
+             for b, (atoms, excess, low) in zip(instance.labels, boxes)]
+    lift = [Dp ** k for k in range(n + 1)]
+    best: tuple[tuple[int, ...], int] = ((), 0)
 
-    def grow(mask: int, order: tuple, A: Fraction, Q: Fraction) -> None:
+    def grow(mask: int, k: int, order: tuple, A: int, Q: int) -> None:
         nonlocal best
-        for i, (b, wb) in enumerate(boxes):
+        for i, (b, pv, p, qb) in enumerate(boxes):
             if not mask >> i & 1:
-                c = table[mask | 1 << i]
-                a, q = A + Q * wb.prob * (wb.value - c), Q * wb.q
-                if a - q * c > best[1]:
-                    best = (order + (b,), a - q * c)
-                grow(mask | 1 << i, order + (b,), a, q)
+                c = costs[mask | 1 << i]
+                a, q = A * Dp + Q * (pv - p * c), Q * qb
+                utility = (a - q * c) * lift[n - k - 1]
+                if utility > best[1]:
+                    best = (order + (b,), utility)
+                grow(mask | 1 << i, k + 1, order + (b,), a, q)
 
-    grow(0, (), ZERO, ONE)
-    return ImpulsiveStrategy(best[0]), best[1]
+    grow(0, 0, (), 0, 1)
+    return ImpulsiveStrategy(best[0]), Fraction(best[1], Dv * lift[n])
 
 
 def reservation_value(box: FiniteDistribution, c_i) -> Fraction:

@@ -7,7 +7,7 @@ no incremental-max accounting, no support-grid recursion, no assumption
 that the running maximum is a sufficient statistic.
 """
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 ZERO = Fraction(0)
 
@@ -137,3 +137,28 @@ def best_impulsive_utility(instance):
             if u > best:
                 best = u
     return best
+
+
+def _subsets(labels):
+    return [frozenset(c) for k in range(len(labels) + 1) for c in combinations(labels, k)]
+
+
+def is_submodular(cost):
+    """The definition itself: c(x | A) >= c(x | B) for all A <= B and x outside B."""
+    subsets = _subsets(cost.ground)
+    for B in subsets:
+        for A in subsets:
+            if not A <= B:
+                continue
+            for x in cost.ground:
+                if x not in B and (cost.eval(A | {x}) - cost.eval(A)
+                                   < cost.eval(B | {x}) - cost.eval(B)):
+                    return False
+    return True
+
+
+def is_subadditive(cost):
+    """The definition itself: c(A u B) <= c(A) + c(B) for every pair A, B."""
+    subsets = _subsets(cost.ground)
+    return all(cost.eval(A | B) <= cost.eval(A) + cost.eval(B)
+               for A in subsets for B in subsets)

@@ -1,10 +1,14 @@
+import random
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pandora import (
     AdditiveCost,
     BudgetAdditiveCost,
     CapabilityError,
+    CostOracle,
     CoverageCost,
     DomainError,
     ExplicitCost,
@@ -12,9 +16,23 @@ from pandora import (
     TreeClosureCost,
     VALIDATORS,
     example1,
+    random_instance,
     subadditive4,
     validate_class,
 )
+
+from oracles import _subsets, is_subadditive, is_submodular
+
+
+class TableCost(CostOracle):
+    """Any table at all, unchecked -- ExplicitCost refuses the broken ones."""
+
+    def __init__(self, table):
+        self.values = {frozenset(key): Fraction(v) for key, v in table.items()}
+        super().__init__({b for key in self.values for b in key})
+
+    def _value(self, S):
+        return self.values[S]
 
 
 def test_validator_names():
@@ -166,3 +184,64 @@ def test_witnesses_always_replay():
             elif w.get("reason") == "marginal grows":
                 x, A, B = w["x"], frozenset(w["A"]), frozenset(w["B"])
                 assert cost.eval(A | {x}) - cost.eval(A) < cost.eval(B | {x}) - cost.eval(B)
+
+
+# every failure reason with its exact payload; values are Fractions rendered
+# back from the scaled integers, so fractional tables pin the rendering too
+WITNESSES = [
+    (TableCost({(): "1/2", (1,): 1, (2,): 1, (1, 2): 2}), "monotone_normalized",
+     {"reason": "not normalized", "c_empty": "1/2"}),
+    (TableCost({(): 0, (1,): "3/2", (2,): 1, (1, 2): "4/3"}), "monotone_normalized",
+     {"reason": "not monotone", "S": [1], "x": 2, "c_S": "3/2", "c_Sx": "4/3"}),
+    (example1().cost, "submodular",
+     {"reason": "marginal grows", "x": 2, "A": [], "B": [3],
+      "c_x_given_A": "0", "c_x_given_B": "20"}),
+    (TableCost({(): 0, (1,): "1/3", (2,): "1/4", (1, 2): "2/3"}), "submodular",
+     {"reason": "marginal grows", "x": 1, "A": [], "B": [2],
+      "c_x_given_A": "1/3", "c_x_given_B": "5/12"}),
+    (subadditive4().cost, "gross_substitutes",
+     {"reason": "not submodular: marginal grows", "x": 2, "A": [4], "B": [3, 4],
+      "c_x_given_A": "0", "c_x_given_B": "1"}),
+    (TableCost({(): 0, (1,): "1/3", (2,): "1/2", (1, 2): "6/7"}), "subadditive",
+     {"A": [1], "B": [2], "c_AB": "6/7", "c_A": "1/3", "c_B": "1/2"}),
+    (ExplicitCost({(): 0, (1,): "1/2", (2,): 1, (1, 2): 1}), "matroid_rank",
+     {"reason": "not integral", "S": [1], "c_S": "1/2"}),
+    (ExplicitCost({(): 0, (1,): 2, (2,): 1, (1, 2): 2}), "matroid_rank",
+     {"reason": "exceeds cardinality", "S": [1], "c_S": "2"}),
+    (ExplicitCost({(): 0, (1,): "2/3", (2,): "2/3", (3,): "2/3", (1, 2): 1, (1, 3): 1,
+                   (2, 3): "4/3", (1, 2, 3): "4/3"}), "gross_substitutes",
+     {"reason": "unique max in triple", "S": [], "triple": [1, 2, 3],
+      "values": ["5/3", "2", "5/3"]}),
+]
+
+
+@pytest.mark.parametrize("cost, cls, witness", WITNESSES)
+def test_witness_payloads_are_pinned(cost, cls, witness):
+    rep = validate_class(cost, cls)
+    assert not rep.passed
+    assert rep.witness == witness
+
+
+FAMILIES = ("bernoulli_coverage", "bernoulli_tree", "bernoulli_hardness",
+            "general_coverage", "additive", "explicit_subadditive")
+
+
+def _max_table(n, seed):
+    """c(S) = max of random fractional weights on the subsets of S: monotone
+    and normalized, and often neither submodular nor subadditive."""
+    rng = random.Random(seed)
+    subsets = _subsets(range(1, n + 1))
+    weight = {S: Fraction(rng.randint(0, 12), rng.randint(1, 4)) if S else 0 for S in subsets}
+    return ExplicitCost({S: max(weight[T] for T in subsets if T <= S) for S in subsets})
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FAMILIES + ("max_table",)), st.integers(1, 4), st.integers(0, 2 ** 31 - 1))
+def test_verdicts_match_the_definitions(family, n, seed):
+    if family == "max_table":
+        cost = _max_table(n, seed)
+    else:
+        assume(family != "bernoulli_hardness" or n > 1)
+        cost = random_instance(family, n, seed).cost
+    assert validate_class(cost, "submodular").passed == is_submodular(cost)
+    assert validate_class(cost, "subadditive").passed == is_subadditive(cost)

@@ -120,6 +120,36 @@ class TestSolve:
         assert "limit 65536" in data["error"]["message"]
         assert len(data["error"]["message"]) < 200
 
+    def test_overlong_integer_is_a_parse_error(self, capsys, tmp_path):
+        # json.loads refuses integer literals past 4300 digits with a plain ValueError
+        path = tmp_path / "long_int.json"
+        path.write_text('{"boxes": [{"label": 1, "atoms": [["1", "1"]]}], '
+                        '"cost": {"kind": "additive", "per_box": {"1": ' + "9" * 5001 + "}}}")
+        code, data = run_json(capsys, "solve", "-i", str(path))
+        assert code == 2
+        assert data["error"]["type"] == "parse"
+
+    def test_deeply_nested_json_is_a_parse_error(self, capsys, tmp_path):
+        # the decoder recurses per level and gives up with RecursionError
+        path = tmp_path / "deep.json"
+        path.write_text('{"boxes": [], "cost": ' + '{"inner": ' * 3000 + "{}" + "}" * 3001)
+        code, data = run_json(capsys, "solve", "-i", str(path))
+        assert code == 2
+        assert data["error"] == {"type": "parse", "message": "invalid JSON: nested too deeply",
+                                 "line": None, "column": None}
+
+    def test_projection_nesting_is_capped(self, capsys, tmp_path):
+        # 600 levels load as JSON but would overflow the stack on evaluation
+        cost = {"kind": "additive", "per_box": {"1": "1"}}
+        for _ in range(600):
+            cost = {"kind": "projection", "ground": [1], "label_map": {"1": 1}, "inner": cost}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"boxes": [{"label": 1, "atoms": [["1", "1"]]}], "cost": cost}))
+        code, data = run_json(capsys, "solve", "-i", str(path))
+        assert code == 2
+        assert data["error"]["type"] == "parse"
+        assert "nested deeper than 64" in data["error"]["message"]
+
     def test_label_mismatch_message_is_truncated(self, capsys, tmp_path):
         boxes = [{"label": 100 + b, "atoms": [["1", "1"]]} for b in range(1, 2001)]
         doc = {"boxes": boxes, "cost": {"kind": "hardness", "n": 2000, "alpha": 3}}
@@ -181,6 +211,43 @@ class TestValidate:
         assert set(data["witness"]) == {
             "reason", "x", "A", "B", "c_x_given_A", "c_x_given_B"}
         assert isinstance(data["witness"]["A"], list)
+
+    def test_scaling_bit_budget_refuses_before_allocating(self, tmp_path):
+        # every entry of a 14-box table gets its own prime denominator; the
+        # common denominator would make each scaled entry about 260k bits, or
+        # over 500 MB in all, which the address-space limit below forbids
+        import os
+        import subprocess
+        import sys
+        from fractions import Fraction
+        from pathlib import Path
+
+        import pandora
+
+        n, limit = 14, 200_000
+        sieve = bytearray([1]) * limit
+        for k in range(2, int(limit ** 0.5) + 1):
+            if sieve[k]:
+                sieve[k * k::k] = bytearray(len(range(k * k, limit, k)))
+        primes = [k for k in range(2, limit) if sieve[k]]
+        table = {"": "0"}
+        for mask in range(1, 1 << n):
+            S = [b + 1 for b in range(n) if mask >> b & 1]
+            table[",".join(map(str, S))] = str(len(S) + Fraction(1, primes[mask]))
+        path = tmp_path / "primes.json"
+        path.write_text(json.dumps({
+            "boxes": [{"label": b, "atoms": [["1", "1"]]} for b in range(1, n + 1)],
+            "cost": {"kind": "explicit", "table": table}}))
+        src = str(Path(pandora.__file__).resolve().parents[1])
+        done = subprocess.run(
+            ["sh", "-c", 'ulimit -v 400000 && exec "$0" -m pandora.cli validate '
+                         '--class submodular -i "$1"', sys.executable, str(path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
+        assert done.returncode == 3, done.stderr
+        error = json.loads(done.stdout)["error"]
+        assert error["type"] == "capability"
+        assert "budget" in error["message"]
 
     def test_unknown_class_is_usage_error(self, capsys, unit_demand_path):
         code, out = run(capsys, "validate", "--class", "psychic",

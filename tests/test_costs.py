@@ -19,7 +19,6 @@ from pandora import (
     marginal_cost,
     random_instance,
     rat,
-    with_counter,
     xos_lift,
 )
 from pandora.instances import _FAMILIES
@@ -214,7 +213,7 @@ def test_marginal_oracle():
 
 
 def test_query_counter_counts_every_eval():
-    counted = with_counter(AdditiveCost([1, 1]))
+    counted = QueryCountingOracle(AdditiveCost([1, 1]))
     assert counted.count == 0
     counted.eval([1])
     counted.eval([1])

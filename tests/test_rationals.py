@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pandora.rationals import INF, fmt, is_finite, parse_extended, rat
+from pandora.errors import CapabilityError
+from pandora.limits import SCALED_BITS
+from pandora.rationals import INF, fmt, is_finite, parse_extended, rat, scaled
 
 
 class TestRat:
@@ -80,3 +82,23 @@ def test_is_finite():
     assert is_finite(Fraction(-100, 7))
     assert not is_finite(INF)
     assert not is_finite(-INF)
+
+
+class TestScaled:
+    def test_common_denominator(self):
+        assert scaled([Fraction(1, 2), Fraction(-1, 3), Fraction(2)]) == ([3, -2, 12], 6)
+        assert scaled([]) == ([], 1)
+
+    @given(st.lists(st.fractions(), max_size=20))
+    def test_exact(self, xs):
+        ints, D = scaled(xs)
+        assert [Fraction(k, D) for k in ints] == xs
+        assert all(D % x.denominator == 0 for x in xs)
+
+    def test_refuses_above_the_bit_budget(self):
+        # distinct prime denominators multiply: the 429 primes below 3000 make
+        # D about 4k bits, so a long enough list of them is refused unbuilt
+        primes = [p for p in range(3, 3000) if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+        xs = [Fraction(1, p) for p in primes] * (SCALED_BITS // 2 ** 20)
+        with pytest.raises(CapabilityError, match="budget"):
+            scaled(xs)

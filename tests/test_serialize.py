@@ -79,6 +79,22 @@ class TestCostRoundTrips:
         with pytest.raises(ParseError, match="object"):
             cost_from_json([1, 2])
 
+    def test_projection_nesting_is_capped_before_building(self, monkeypatch):
+        from pandora import serialize
+
+        def chain(depth):
+            cost = {"kind": "additive", "per_box": {"1": "1"}}
+            for _ in range(depth):
+                cost = {"kind": "projection", "ground": [1], "label_map": {"1": 1}, "inner": cost}
+            return cost
+
+        assert cost_from_json(chain(serialize.MAX_NESTING)).eval([1]) == 1
+        built = []
+        monkeypatch.setattr(serialize, "AdditiveCost", lambda *a: built.append(a))
+        with pytest.raises(ParseError, match="nested deeper than"):
+            cost_from_json(chain(serialize.MAX_NESTING + 1))
+        assert built == []
+
     def test_malformed_numbers(self):
         with pytest.raises(ParseError, match="malformed additive"):
             cost_from_json({"kind": "additive", "per_box": {"1": "not-a-number"}})

@@ -8,6 +8,7 @@ from pandora import (
     AdditiveCost,
     CapabilityError,
     DomainError,
+    FiniteDistribution,
     GapReport,
     Instance,
     adaptivity_gap,
@@ -34,6 +35,7 @@ from oracles import (
     best_fixed_order_utility,
     best_impulsive_utility,
     fixed_order_free_halting,
+    tree_utility,
 )
 
 seeds = st.integers(0, 2 ** 31 - 1)
@@ -69,13 +71,26 @@ class TestOptimalAdaptive:
         with pytest.raises(CapabilityError):
             optimal_adaptive(inst)
 
-    @settings(max_examples=30, deadline=None)
-    @given(seeds)
-    def test_matches_exhaustive_oracle(self, seed):
-        family = ("general_coverage", "additive", "explicit_subadditive")[seed % 3]
-        inst = random_instance(family, (seed % 3) + 1, seed)
+    def test_scaled_states_are_bounded(self):
+        # 29 atoms per box with distinct prime-denominator probabilities: the
+        # DP would hold 2^10 * 40 states at about 32k bits each
+        primes = [p for p in range(1000, 20000) if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+        boxes = []
+        for b in range(10):
+            probs = [Fraction(1, p) for p in primes[30 * b:30 * b + 29]]
+            atoms = [(k + 1, p) for k, p in enumerate(probs)] + [(100 + b, 1 - sum(probs))]
+            boxes.append(FiniteDistribution(atoms))
+        with pytest.raises(CapabilityError, match="budget"):
+            optimal_adaptive(Instance(boxes, AdditiveCost([1] * 10)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(families, st.integers(1, 4), seeds)
+    def test_matches_exhaustive_oracle(self, family, n, seed):
+        assume(family != "bernoulli_hardness" or n > 1)
+        inst = random_instance(family, n, seed)
         u, tree = optimal_adaptive(inst)
         assert u == best_adaptive_utility(inst)
+        assert tree_utility(inst, tree) == u
         assert eval_policy(inst, tree) == u
 
 

@@ -6,10 +6,12 @@ construction (additive, coverage, ...) or by eager table validation
 reads `CostOracle.table()`: c(S) for all S as one tuple indexed by bitmask
 (bit i <-> ground[i]), filled once through `eval` and cached.  Only grounds
 given by the caller are validated; wrappers reuse their inner oracle's, and
-`HardnessCost` builds 1..n directly, so construction is O(1) or a bare range.
+every `HardnessCost` on n boxes shares one cached 1..n ground (tuple and
+frozenset), so construction is O(1) once that ground exists.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -379,6 +381,14 @@ class TreeClosureCost(CostOracle):
         }
 
 
+@functools.lru_cache(maxsize=4, typed=True)
+def _range_ground(n: int) -> tuple[tuple[int, ...], BoxSet]:
+    """The ground 1..n as a tuple and a frozenset, shared by every HardnessCost
+    on n boxes (the experiments build two oracles per trial)."""
+    labels = tuple(range(1, n + 1))
+    return labels, frozenset(labels)
+
+
 class HardnessCost(CostOracle):
     """The query-complexity family: capped cardinality with an optional planted set.
 
@@ -400,8 +410,7 @@ class HardnessCost(CostOracle):
             raise DomainError(f"need 1 <= alpha <= n, got alpha = {alpha}")
         if beta is not None and not 0 < beta < alpha:
             raise DomainError(f"need 0 < beta < alpha, got beta = {beta}")
-        labels = tuple(range(1, n + 1))
-        self._adopt(labels, frozenset(labels))
+        self._adopt(*_range_ground(n))
         self.n = n
         self.alpha = alpha
         self.beta = beta

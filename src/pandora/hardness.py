@@ -33,6 +33,7 @@ BANNER = (
 
 MAX_BUDGET = 10 ** 6
 MAX_TRIALS = 10 ** 5
+MAX_N = 10 ** 6
 
 
 def _interval_ceil(build, *, what: str) -> int:
@@ -110,12 +111,30 @@ def hardness_params(n: int, *, alpha: int | None = None,
                           p=Fraction(1, alpha))
 
 
-def _cost_cap(params: HardnessParams, variant: str) -> int:
+def _cost_cap(params: HardnessParams, s: int, variant: str) -> int:
+    """The cost cap m of `variant`, once s is checked to be a size it can open."""
     if variant == "baseline":
-        return params.alpha
-    if variant == "planted_subsetR":
-        return params.beta
-    raise DomainError(f"variant must be baseline or planted_subsetR, got {variant!r}")
+        m = params.alpha
+    elif variant == "planted_subsetR":
+        m = params.beta
+    else:
+        raise DomainError(f"variant must be baseline or planted_subsetR, got {variant!r}")
+    if not 0 <= s <= params.n:
+        raise DomainError(f"need 0 <= s <= n, got s = {s}")
+    if variant == "planted_subsetR" and s > params.alpha:
+        raise DomainError(f"planted strategies open inside R: s <= alpha = {params.alpha}")
+    return m
+
+
+def _float_utility(params: HardnessParams, s: int, k: int) -> float:
+    """u(s) in floats via libm's expm1/log1p, k = min(s, m): the one float form,
+    behind symmetric_impulsive_utility and verify_family's scan."""
+    if s == 0:
+        return 0.0
+    lq = math.log1p(-1.0 / params.alpha)
+    hit = -math.expm1(s * lq)        # 1 - q^s
+    cost = -math.expm1(k * lq) * params.alpha
+    return params.M * hit - cost
 
 
 def symmetric_impulsive_utility(params: HardnessParams, s: int,
@@ -132,33 +151,17 @@ def symmetric_impulsive_utility(params: HardnessParams, s: int,
     Evaluated in floats via expm1/log1p (exact rational twin:
     symmetric_impulsive_utility_exact).
     """
-    m = _cost_cap(params, variant)
-    if not 0 <= s <= params.n:
-        raise DomainError(f"need 0 <= s <= n, got s = {s}")
-    if variant == "planted_subsetR" and s > params.alpha:
-        raise DomainError(f"planted strategies open inside R: s <= alpha = {params.alpha}")
-    if s == 0:
-        return 0.0
-    lq = math.log1p(-1.0 / params.alpha)
-    k = min(s, m)
-    hit = -math.expm1(s * lq)        # 1 - q^s
-    cost = -math.expm1(k * lq) * params.alpha
-    return params.M * hit - cost
+    return _float_utility(params, s, min(s, _cost_cap(params, s, variant)))
 
 
 def symmetric_impulsive_utility_exact(params: HardnessParams, s: int,
                                       variant: str = "baseline") -> Fraction:
     """Rational twin of the closed form (cost grows with s; meant for s <= ~30
     cross-checks and small-n exhaustive runs)."""
-    m = _cost_cap(params, variant)
-    if not 0 <= s <= params.n:
-        raise DomainError(f"need 0 <= s <= n, got s = {s}")
-    if variant == "planted_subsetR" and s > params.alpha:
-        raise DomainError(f"planted strategies open inside R: s <= alpha = {params.alpha}")
+    k = min(s, _cost_cap(params, s, variant))
     if s == 0:
         return Fraction(0)
     q = params.q
-    k = min(s, m)
     return params.M * (1 - q ** s) - (1 - q ** k) / params.p
 
 
@@ -199,17 +202,6 @@ class FamilyReport:
         }
 
 
-def _case_of(s: int, alpha: int, beta: int) -> tuple[str, float]:
-    """Proof-case label and utility bound for subset size s (baseline)."""
-    if s == 0:
-        return "case4:s=0", 0.0
-    if s >= alpha:
-        return "case1:s>=alpha", 5 * beta - alpha / 4.0
-    if s >= 21 * beta:
-        return "case2:21beta<=s<alpha", -beta / 4.0
-    return "case3:0<s<21beta", (s / alpha) * (26 * beta - alpha)
-
-
 def verify_family(n: int, *, alpha: int | None = None,
                   beta: int | None = None) -> FamilyReport:
     """Scan every symmetric impulsive strategy size s on the baseline cost.
@@ -219,10 +211,11 @@ def verify_family(n: int, *, alpha: int | None = None,
     is prepared to open; utilities depend on s alone.  The report records the
     utility maximum (must stay < 0 for s >= 1), the planted strategy's
     utility (must be > 0), and for each proof case the minimum margin between
-    the case's bound and the actual utilities it covers.
+    the case's bound and the actual utilities it covers.  n is capped at
+    MAX_N: the scan holds one utility per size.
     """
-    import numpy as np
-
+    if n > MAX_N:
+        raise DomainError(f"n must be at most {MAX_N}, got {n}")
     params = hardness_params(n, alpha=alpha, beta=beta)
     a, b, M = params.alpha, params.beta, params.M
     regime = {
@@ -231,33 +224,34 @@ def verify_family(n: int, *, alpha: int | None = None,
     }
     in_regime = all(regime.values())
 
-    s = np.arange(0, n + 1, dtype=np.float64)
-    lq = math.log1p(-1.0 / a)
-    hit = -np.expm1(s * lq)
-    k = np.minimum(s, float(a))
-    cost = -np.expm1(k * lq) * a
-    u = M * hit - cost                     # u[0] == 0 exactly
-
-    tail = u[1:]
-    argmax = int(np.argmax(tail)) + 1
-    max_u = float(tail[argmax - 1])
+    u = [_float_utility(params, size, min(size, a)) for size in range(n + 1)]
+    argmax = max(range(1, n + 1), key=u.__getitem__)
     planted = symmetric_impulsive_utility(params, a, "planted_subsetR")
     lower = 5 * b * (1 - 1 / math.e) - b
 
-    case_stats: dict[str, dict] = {}
-    violations = []
-    for size in range(0, n + 1):
-        name, bound = _case_of(size, a, b)
-        margin = bound - float(u[size])
-        stat = case_stats.setdefault(name, {
-            "case": name, "count": 0, "bound": bound,
-            "min_margin": math.inf, "min_margin_s": None,
+    # each proof case with its bound and the contiguous sizes s it covers;
+    # case3's bound (s/alpha)*(26beta-alpha) varies with s
+    proof_cases = (
+        ("case1:s>=alpha", 5 * b - a / 4.0, range(a, n + 1)),
+        ("case2:21beta<=s<alpha", -b / 4.0, range(21 * b, a)),
+        ("case3:0<s<21beta", None, range(1, min(21 * b, a))),
+        ("case4:s=0", 0.0, range(0, 1)),
+    )
+    cases = []
+    for name, bound, sizes in proof_cases:
+        if not sizes:
+            continue
+        if bound is None:
+            margins = [(size / a) * (26 * b - a) - u[size] for size in sizes]
+        else:
+            margins = [bound - u[size] for size in sizes]
+        low = min(margins)
+        cases.append({
+            "case": name, "count": len(sizes),
+            "bound": "varies (s/alpha)*(26beta-alpha)" if bound is None else bound,
+            "min_margin": low, "min_margin_s": sizes[margins.index(low)],
         })
-        stat["count"] += 1
-        if margin < stat["min_margin"]:
-            stat["min_margin"], stat["min_margin_s"] = margin, size
-        if size >= 1 and u[size] >= 0:
-            violations.append(size)
+    violations = [size for size in range(1, n + 1) if u[size] >= 0]
 
     if violations:
         verdict = "violation" if in_regime else "regime not reached"
@@ -268,21 +262,15 @@ def verify_family(n: int, *, alpha: int | None = None,
     else:
         verdict = "pass"
 
-    cases = tuple(
-        {**case_stats[nm],
-         "bound": ("varies (s/alpha)*(26beta-alpha)"
-                   if nm.startswith("case3") else case_stats[nm]["bound"])}
-        for nm in sorted(case_stats)
-    )
     return FamilyReport(
         n=n, alpha=a, beta=b, M=M,
         regime=regime,
         verdict=verdict,
-        max_baseline_utility=max_u,
+        max_baseline_utility=u[argmax],
         argmax_s=argmax,
         planted_utility=planted,
         planted_lower_bound=lower,
-        cases=cases,
+        cases=tuple(cases),
         violations=tuple(violations),
         note=("identical boxes admit an impulsive symmetric optimum, "
               "so the s-scan covers every strategy"),
@@ -387,17 +375,19 @@ def distinguish_experiment(n: int, algorithm="random_uniform_alpha_sets",
     queries that happens exactly when |S cap R| > beta.  Alongside the rate,
     the report compares, for fixed size-alpha sets, the empirical frequency
     of |S cap R| > beta with the exact hypergeometric tail (3-standard-error
-    check).  Query counts against c_R are enforced per trial through
-    QueryCountingOracle.
+    check).  Every trial runs through replay_trial, which enforces the query
+    count against c_R (AssertionError on a miscount), so a returned report
+    always has query_count_ok.  n is capped at MAX_N.
     """
     if not 1 <= budget <= MAX_BUDGET:
         raise DomainError(f"budget must be in [1, {MAX_BUDGET}], got {budget}")
     if not 1 <= trials <= MAX_TRIALS:
         raise DomainError(f"trials must be in [1, {MAX_TRIALS}], got {trials}")
+    if n > MAX_N:
+        raise DomainError(f"n must be at most {MAX_N}, got {n}")
     params = hardness_params(n, alpha=alpha, beta=beta)
     a, b = params.alpha, params.beta
     labels = range(1, n + 1)
-    c0 = HardnessCost(n, a)
 
     if isinstance(algorithm, str):
         if algorithm != "random_uniform_alpha_sets":
@@ -405,7 +395,7 @@ def distinguish_experiment(n: int, algorithm="random_uniform_alpha_sets",
         algo_name = algorithm
         declared: list[frozenset] | None = None
         per_trial = budget
-        aborted_per_trial = False
+        aborted = 0
     else:
         algo_name = "caller_query_list"
         declared = [frozenset(S) for S in algorithm]
@@ -414,8 +404,8 @@ def distinguish_experiment(n: int, algorithm="random_uniform_alpha_sets",
         for S in declared:
             if not stray.isdisjoint(S):
                 raise DomainError(f"query {sorted(S)} outside 1..{n}")
-        aborted_per_trial = len(declared) > budget
         per_trial = min(len(declared), budget)
+        aborted = trials if len(declared) > budget else 0   # every trial truncates alike
 
     master = random.Random(seed)
     if declared is None:
@@ -425,28 +415,17 @@ def distinguish_experiment(n: int, algorithm="random_uniform_alpha_sets",
     fixed_hits = [0] * len(fixed_sets)
 
     distinguishing = 0
-    aborted = 0
-    counts_ok = True
     witness: dict | None = None
     for t in range(trials):
         trial_seed = master.getrandbits(64)
         rng = random.Random(trial_seed)
         R = frozenset(rng.sample(labels, a))
-        counted = QueryCountingOracle(HardnessCost(n, a, b, R))
         if declared is None:
             queries = [frozenset(rng.sample(labels, a)) for _ in range(per_trial)]
         else:
             queries = declared[:per_trial]
-        found = None
-        for S in queries:
-            got = counted.eval(S)
-            want = c0.eval(S)
-            if got != want and found is None:
-                found = (S, want, got)
-        if counted.count != len(queries):
-            counts_ok = False
-        if aborted_per_trial:
-            aborted += 1
+        trial = replay_trial(n, a, b, R, queries, seed=trial_seed)
+        found = next(((S, want, got) for S, want, got in trial.transcript if got != want), None)
         if found is not None:
             distinguishing += 1
             if witness is None:
@@ -486,7 +465,7 @@ def distinguish_experiment(n: int, algorithm="random_uniform_alpha_sets",
         distinguishing_count=distinguishing,
         rate=distinguishing / trials,
         aborted_count=aborted,
-        query_count_ok=counts_ok,
+        query_count_ok=True,
         fixed_set_stats=tuple(stats),
         witness=witness,
     )

@@ -155,10 +155,16 @@ def instance_from_json(data: dict) -> Instance:
         raise ParseError(f"not a {FORMAT} document: format = {data.get('format')!r}")
     cost_data = _require(data, "cost", "instance")
     items = _require(data, "boxes", "instance")
-    cost = cost_from_json(cost_data, boxes=len(items) if isinstance(items, list) else None)
+    if not isinstance(items, list):
+        raise ParseError(f"instance: boxes must be a list, got {type(items).__name__}")
+    cost = cost_from_json(cost_data, boxes=len(items))
     entries = []
     for item in items:
-        label = int(_require(item, "label", "box"))
+        if not isinstance(item, dict):
+            raise ParseError(f"box must be an object, got {type(item).__name__}")
+        label = _require(item, "label", "box")
+        if not isinstance(label, int) or isinstance(label, bool):
+            raise ParseError(f"box label must be an integer, got {label!r:.40}")
         try:
             box = FiniteDistribution([(rat(v), rat(p))
                                       for v, p in _require(item, "atoms", "box")])

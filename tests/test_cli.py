@@ -150,6 +150,20 @@ class TestSolve:
         assert data["error"]["type"] == "parse"
         assert "nested deeper than 64" in data["error"]["message"]
 
+    @pytest.mark.parametrize("boxes", [
+        '[{"label": "abc", "atoms": [["1", "1"]]}]',
+        '5',
+        '[5]',
+        '[{"label": 1.5, "atoms": [["1", "1"]]}]',
+        '[{"label": true, "atoms": [["1", "1"]]}]',
+    ], ids=["string_label", "boxes_not_a_list", "box_not_an_object", "float_label", "bool_label"])
+    def test_malformed_box_entry_is_a_parse_error(self, capsys, tmp_path, boxes):
+        path = tmp_path / "bad_box.json"
+        path.write_text('{"boxes": ' + boxes + ', "cost": {"kind": "additive", "per_box": {"1": "1"}}}')
+        code, data = run_json(capsys, "solve", "-i", str(path))
+        assert code == 2
+        assert data["error"]["type"] == "parse"
+
     def test_label_mismatch_message_is_truncated(self, capsys, tmp_path):
         boxes = [{"label": 100 + b, "atoms": [["1", "1"]]} for b in range(1, 2001)]
         doc = {"boxes": boxes, "cost": {"kind": "hardness", "n": 2000, "alpha": 3}}
@@ -324,6 +338,18 @@ class TestHardness:
         assert code == 2
         assert data["error"]["type"] == "domain"
 
+    @pytest.mark.parametrize("mode", ["verify", "distinguish"])
+    def test_n_is_capped_before_anything_is_built(self, capsys, mode):
+        code, data = run_json(capsys, "hardness", mode, "--n", "1000000001")
+        assert code == 2
+        assert data["error"] == {"type": "domain",
+                                 "message": "n must be at most 1000000, got 1000000001"}
+
+    def test_params_are_not_capped(self, capsys):
+        code, data = run_json(capsys, "hardness", "params", "--n", "1000000001")
+        assert code == 0
+        assert data["n"] == 1000000001
+
 
 class TestCorpusAndVerify:
     def test_corpus_run(self, capsys):
@@ -364,6 +390,24 @@ class TestPlumbing:
                               env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+    def test_hardness_lab_imports_no_numpy(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import pandora
+
+        program = ("import sys, pandora\n"
+                   "pandora.verify_family(1000)\n"
+                   "pandora.distinguish_experiment(8, budget=3, trials=50, seed=5, alpha=4, beta=2)\n"
+                   "print('numpy' in sys.modules)\n")
+        src = str(Path(pandora.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

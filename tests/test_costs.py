@@ -180,6 +180,14 @@ class TestHardnessCost:
                 expect = len(S & R) <= beta or len(S - R) >= alpha - beta
                 assert agree == expect, sorted(S)
 
+    def test_oracles_on_n_boxes_share_one_ground(self):
+        c0 = HardnessCost(40, 4)
+        cR = HardnessCost(40, 4, 1, R={1, 2, 3, 4})
+        assert c0.ground == tuple(range(1, 41))
+        assert c0.ground is cR.ground and c0._members is cR._members
+        with pytest.raises(TypeError):
+            HardnessCost(40.0, 4)                # a float n is not served from the cache
+
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             HardnessCost(3, 5)

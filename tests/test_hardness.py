@@ -208,6 +208,18 @@ class TestDistinguishExperiment:
         assert a.to_json() == b.to_json()
         assert a.to_json() != c.to_json()
 
+    def test_a_miscount_raises(self, monkeypatch):
+        import pandora.hardness
+
+        class Miscounting(pandora.hardness.QueryCountingOracle):
+            def eval(self, boxes):
+                self.count += 1
+                return super().eval(boxes)
+
+        monkeypatch.setattr(pandora.hardness, "QueryCountingOracle", Miscounting)
+        with pytest.raises(AssertionError, match="counted 6 queries, issued 3"):
+            distinguish_experiment(8, budget=3, trials=2, seed=5, alpha=4, beta=2)
+
     def test_input_validation(self):
         with pytest.raises(DomainError, match="budget"):
             distinguish_experiment(6, budget=0, trials=1, alpha=4, beta=1)
@@ -220,9 +232,12 @@ class TestDistinguishExperiment:
 
 
 class TestPinnedReports:
-    """Digests of whole reports, recorded before oracle construction became
-    O(1): the per-trial RNG stream, the fixed-set statistics and the witness
-    must stay bit-identical."""
+    """Digests of whole reports.  The experiment digests were recorded before
+    oracle construction became O(1): the per-trial RNG stream, the fixed-set
+    statistics and the witness must stay bit-identical.  The family digests
+    and the utility digests were recorded while verify_family still evaluated
+    u(s) a second time in numpy: the single libm closed form must reproduce
+    them bit for bit."""
 
     @staticmethod
     def digest(report):
@@ -240,3 +255,40 @@ class TestPinnedReports:
         r = distinguish_experiment(8, budget=3, trials=50, seed=5, alpha=4, beta=2)
         assert r.witness["S"] == [2, 3, 5, 7]
         assert self.digest(r) == "d7f0ebf9166a0537a5c32e42db40b1201e45b9e49447838246d5a20a73519765"
+
+    def test_caller_list_truncated_with_witness(self):
+        queries = [{1, 2, 3, 4}, {5, 6, 7, 8}, {1, 2, 5, 6}]
+        r = distinguish_experiment(8, queries, budget=2, trials=30, seed=4, alpha=4, beta=2)
+        assert r.aborted_count == 30
+        assert r.witness == {"trial": 0, "seed": 5594871498841892311, "S": [5, 6, 7, 8],
+                             "c0": "4", "cR": "3", "overlap": 3}
+        assert self.digest(r) == "750b1d386eae8058455c5e962a73e9ebac72564ec3740ae7757383d7bcfd5231"
+
+    @pytest.mark.parametrize("n, alpha, beta, expected", [
+        (6, 4, 1, "c54db7e18553a57b56a624778f977bbd1c41a73b2710bfdf31c9a2fc6fdb9eb3"),
+        (27, 27, 1, "513f170dbe37e3fb50db47d314d2a306c98e2a8b32cd6d7d20e1035a99535917"),
+        (4096, None, None, "1bf35ad856865701c51579bbeeb1668381900b28eeaad33c93375dbd18761f2a"),
+        (100000, None, None, "721874c28f684b00a3d7afee096783c9a8ff0093be7394acfd201a6b03926ada"),
+    ])
+    def test_family_report(self, n, alpha, beta, expected):
+        assert self.digest(verify_family(n, alpha=alpha, beta=beta)) == expected
+
+    @pytest.mark.parametrize("n, alpha, beta, floats, exact", [
+        (6, 4, 1, "b236bebc536acb05f7cda57ea35ec94f878e703d186f8758c7ca9c6be282268e",
+         "4a3fc56d627faf0de47a4262c8c5531e998f01cc020468f62a54c0e6d8d3be48"),
+        (27, 27, 1, "c7e0cb2fb39a6f96ac55239bc9fa7fec14d05e2044dd4404fd953c58bb5083ae",
+         "ebe4346b9c1a9daea99e6edebb1e996f9ebad8441c67c3c5fe18cfcb01a08e82"),
+        (4096, None, None, "2606909b7228e43b3077c9ed5a5283898ee8347e3bf570d961ce58f39121f4ed", None),
+        (100000, None, None, "a1f502499bab08a20507b5ad0fef61b0c59b6e7acab0a2205783bb2ab1765687", None),
+    ])
+    def test_utilities_at_every_size(self, n, alpha, beta, floats, exact):
+        import hashlib
+
+        params = hardness_params(n, alpha=alpha, beta=beta)
+        sizes = [(s, v) for v in ("baseline", "planted_subsetR")
+                 for s in range((n if v == "baseline" else params.alpha) + 1)]
+        text = repr([symmetric_impulsive_utility(params, s, v) for s, v in sizes])
+        assert hashlib.sha256(text.encode()).hexdigest() == floats
+        if exact is not None:
+            text = repr([symmetric_impulsive_utility_exact(params, s, v) for s, v in sizes])
+            assert hashlib.sha256(text.encode()).hexdigest() == exact

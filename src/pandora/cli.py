@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import corpus as corpus_mod
 from . import hardness as hardness_mod
@@ -115,22 +114,6 @@ def _cmd_gap(args) -> tuple[dict, int]:
     return payload, EXIT_OK
 
 
-def _witness_json(witness):
-    if witness is None:
-        return None
-    out = {}
-    for key, value in witness.items():
-        if isinstance(value, (frozenset, set, tuple, list)):
-            out[key] = sorted(value) if isinstance(value, (frozenset, set)) else list(value)
-        elif isinstance(value, Fraction):
-            out[key] = fmt(value)
-        elif isinstance(value, dict):
-            out[key] = _witness_json(value)
-        else:
-            out[key] = value
-    return out
-
-
 def _cmd_validate(args) -> tuple[dict, int]:
     instance = _read_instance(args.instance)
     digest = digest_instance(instance)
@@ -142,7 +125,7 @@ def _cmd_validate(args) -> tuple[dict, int]:
         "class": args.cls,
         "instance_digest": digest,
         "passed": report.passed,
-        "witness": _witness_json(report.witness),
+        "witness": report.witness,
         "wall_time_ms": round(elapsed * 1000, 3),
     }
     return payload, EXIT_OK if report.passed else EXIT_FAIL

@@ -54,10 +54,9 @@ from .transforms import check_preservation
 ZERO = Fraction(0)
 
 # provenance vocabulary: "published" values appear verbatim in the source
-# material; "identity" marks algebraic consequences; "recomputed:<oracle>"
-# names the independent derivation that produced the number.
+# material; "recomputed:<oracle>" names the independent derivation that
+# produced the number.
 PUBLISHED = "published"
-IDENTITY = "identity"
 
 
 def recomputed(oracle: str) -> str:

@@ -7,6 +7,9 @@ hidden alpha-subset R.  The family's headline property -- no positive-utility
 strategy exists without knowing R, yet every R admits one -- is verified by
 closed forms over all symmetric impulsive strategies; the query-distinguishing
 experiment measures how often cost queries can tell the two oracles apart.
+The integer parameters alpha and beta are exact ceilings of irrational
+numbers, read off rational brackets built from the standard library alone:
+decimal's correctly rounded ln for ln n and math.isqrt for sqrt n.
 
 The asymptotic regime in which the distinguishing probability becomes
 super-polynomially small needs n far beyond astronomical (the constants want
@@ -16,12 +19,11 @@ the asymptotic headline; reports say so explicitly.
 """
 from __future__ import annotations
 
+import decimal
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import mpmath
 
 from .costs import HardnessCost, QueryCountingOracle
 from .errors import DomainError
@@ -34,41 +36,62 @@ BANNER = (
 MAX_BUDGET = 10 ** 6
 MAX_TRIALS = 10 ** 5
 MAX_N = 10 ** 6
+# labels the builtin algorithm draws per trial (budget sets of alpha labels);
+# a drawn label holds 75-140 bytes inside its frozenset, so one trial's query
+# sets stay near 100 MB
+MAX_QUERY_LABELS = 700_000
 
 
-def _interval_ceil(build, *, what: str) -> int:
-    """Ceiling of an irrational expression via interval arithmetic.
+def _ln_bracket(n: int, digits: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Two (numerator, denominator) pairs lo < ln n < hi from decimal's ln at
+    `digits` significant digits.
 
-    `build` evaluates the expression in mpmath's interval context; precision
-    is raised until both endpoints share a ceiling, so the result is exact
-    (never a victim of one-ulp rounding across an integer boundary).
+    The decimal spec rounds ln correctly (within half an ulp), so the true
+    value lies strictly between the rounded result's two neighbours.
     """
-    saved = mpmath.iv.prec
-    try:
-        for prec in (64, 128, 256, 512, 1024):
-            mpmath.iv.prec = prec
-            x = build()
-            lo = int(mpmath.ceil(x.a))
-            hi = int(mpmath.ceil(x.b))
-            if lo == hi:
-                return lo
-    finally:
-        mpmath.iv.prec = saved
-    raise AssertionError(f"interval ceiling for {what} did not stabilize")
+    ctx = decimal.Context(prec=digits)
+    ln = ctx.ln(decimal.Decimal(n))
+    return ctx.next_minus(ln).as_integer_ratio(), ctx.next_plus(ln).as_integer_ratio()
 
 
-def _verify_ceiling(value: int, build, *, what: str) -> None:
-    # back-substitution at an independent precision: value - 1 < x < value
-    # must hold strictly (the expressions are irrational for integer n >= 3,
-    # so landing exactly on an integer is impossible)
-    saved = mpmath.iv.prec
-    try:
-        mpmath.iv.prec = 320
-        x = build()
-        if not (x.a > value - 1 and x.b < value):
-            raise AssertionError(f"ceiling back-substitution failed for {what}")
-    finally:
-        mpmath.iv.prec = saved
+def _ceilings_at(ln: tuple[int, int], root: int, digits: int) -> tuple[int, int]:
+    """(ceil(ln * root / 10^digits / 5), ceil(ln^2 / 5)) for ln = num / den."""
+    num, den = ln
+    return -(-num * root // (5 * den * 10 ** digits)), -(-num * num // (5 * den * den))
+
+
+def _derived_ceilings(n: int) -> tuple[int, int]:
+    """(ceil(ln n * sqrt n / 5), ceil(ln^2 n / 5)) for n >= 3, exactly.
+
+    Both expressions increase in ln n and sqrt n, so their values at the two
+    ends of the bracket -- ln n from `_ln_bracket`, sqrt n within
+    [r, r + 1) / 10^d for r = isqrt(n * 10^(2d)) -- have the true ceilings
+    once their ceilings agree; d doubles until they do.  Each ceiling is then
+    back-substituted against an ln bracket at a higher precision, squared so
+    that no square root enters (alpha - 1 < ln n sqrt n / 5 < alpha iff
+    25 (alpha - 1)^2 < n ln^2 n < 25 alpha^2); AssertionError if that fails,
+    also under -O.
+    """
+    # alpha has about half as many digits as n; decimal's ln slows down
+    # steeply with precision, so start there plus guard digits
+    digits = n.bit_length() // 6 + 12
+    for _ in range(4):
+        lo, hi = _ln_bracket(n, digits)
+        root = math.isqrt(n * 100 ** digits)
+        ceilings = _ceilings_at(lo, root, digits)
+        if ceilings == _ceilings_at(hi, root + 1, digits):
+            break
+        digits *= 2
+    else:
+        raise AssertionError(f"ceilings for n = {n} did not stabilize")
+    alpha, beta = ceilings
+    (lo, lo_den), (hi, hi_den) = _ln_bracket(n, digits + 10)
+    if not (25 * (alpha - 1) ** 2 * lo_den ** 2 < n * lo ** 2
+            and n * hi ** 2 < 25 * alpha ** 2 * hi_den ** 2):
+        raise AssertionError("ceiling back-substitution failed for alpha")
+    if not (5 * (beta - 1) * lo_den ** 2 < lo ** 2 and hi ** 2 < 5 * beta * hi_den ** 2):
+        raise AssertionError("ceiling back-substitution failed for beta")
+    return alpha, beta
 
 
 @dataclass(frozen=True)
@@ -89,20 +112,19 @@ class HardnessParams:
 def hardness_params(n: int, *, alpha: int | None = None,
                     beta: int | None = None) -> HardnessParams:
     """alpha = ceil(ln n * sqrt(n) / 5), beta = ceil(ln^2 n / 5), M = 5*beta,
-    p = 1/alpha -- computed with outward-rounded interval arithmetic so the
-    integer ceilings are provably right.  Explicit alpha/beta overrides skip
-    the formulas (used for small-n exhaustive testing)."""
+    p = 1/alpha.
+
+    The ceilings are exact for every n >= 3: both are read off a rational
+    bracket of ln n (decimal's correctly rounded ln, widened to its
+    neighbours) and of sqrt n (math.isqrt of n * 10^(2d)), and re-checked at
+    a higher precision.  Explicit alpha/beta overrides skip the formulas
+    (used for small-n exhaustive testing)."""
     if alpha is None or beta is None:
         if n < 3:
             raise DomainError(f"derived parameters need n >= 3, got {n}")
-    if alpha is None:
-        build_a = lambda: mpmath.iv.ln(n) * mpmath.iv.sqrt(n) / 5
-        alpha = _interval_ceil(build_a, what="alpha")
-        _verify_ceiling(alpha, build_a, what="alpha")
-    if beta is None:
-        build_b = lambda: mpmath.iv.ln(n) ** 2 / 5
-        beta = _interval_ceil(build_b, what="beta")
-        _verify_ceiling(beta, build_b, what="beta")
+        derived = _derived_ceilings(n)
+        alpha = derived[0] if alpha is None else alpha
+        beta = derived[1] if beta is None else beta
     if not 1 <= alpha <= n:
         raise DomainError(f"need 1 <= alpha <= n, got alpha = {alpha}")
     if not 0 < beta < alpha:
@@ -377,7 +399,8 @@ def distinguish_experiment(n: int, algorithm="random_uniform_alpha_sets",
     of |S cap R| > beta with the exact hypergeometric tail (3-standard-error
     check).  Every trial runs through replay_trial, which enforces the query
     count against c_R (AssertionError on a miscount), so a returned report
-    always has query_count_ok.  n is capped at MAX_N.
+    always has query_count_ok.  n is capped at MAX_N, and the builtin
+    algorithm's budget * alpha at MAX_QUERY_LABELS.
     """
     if not 1 <= budget <= MAX_BUDGET:
         raise DomainError(f"budget must be in [1, {MAX_BUDGET}], got {budget}")
@@ -392,6 +415,9 @@ def distinguish_experiment(n: int, algorithm="random_uniform_alpha_sets",
     if isinstance(algorithm, str):
         if algorithm != "random_uniform_alpha_sets":
             raise DomainError(f"unknown algorithm {algorithm!r}")
+        if budget * a > MAX_QUERY_LABELS:
+            raise DomainError(f"budget * alpha = {budget} * {a} exceeds the "
+                              f"{MAX_QUERY_LABELS} labels one trial may draw")
         algo_name = algorithm
         declared: list[frozenset] | None = None
         per_trial = budget

@@ -257,6 +257,28 @@ def optimal_impulsive(instance: Instance) -> tuple[ImpulsiveStrategy, Fraction]:
     return ImpulsiveStrategy(best[0]), Fraction(best[1], Dv * lift[n])
 
 
+def _tail_root(atoms, c: Fraction) -> Fraction:
+    """The least z with sum p * (v - z)^+ <= c over the (v, p) `atoms`, for
+    c > 0 and at least one atom of positive probability.
+
+    The tail sum is piecewise linear and decreasing with breakpoints at the
+    atoms, so walking them top-down finds the one segment it crosses c on;
+    below the least atom it continues with slope -sum p.
+    """
+    acc = ZERO          # the tail sum at `prev`
+    mass = ZERO         # its slope just below `prev`: the probability at or above it
+    prev = None
+    for v, p in sorted(atoms, reverse=True):
+        if prev is not None:
+            at_v = acc + mass * (prev - v)
+            if at_v > c:
+                break
+            acc = at_v
+        mass += p
+        prev = v
+    return prev - (c - acc) / mass
+
+
 def reservation_value(box: FiniteDistribution, c_i) -> Fraction:
     """The z solving sum_{v > 0} p_v (v - z)^+ = c_i, exactly.
 
@@ -270,33 +292,12 @@ def reservation_value(box: FiniteDistribution, c_i) -> Fraction:
     c = rat(c_i)
     if c < 0:
         raise DomainError(f"need a nonnegative cost, got {c}")
-    top = box.support[-1]
     if c == 0:
-        return top
+        return box.support[-1]
     positives = [(v, p) for v, p in box.atoms if v > 0]
     if not positives:
         raise DomainError("a constant-zero box has no reservation value for c > 0")
-    values = [v for v, _ in positives]
-    probs = [p for _, p in positives]
-    # h at each positive atom, built top-down: moving the evaluation point
-    # from v_prev down to v adds tail * (v_prev - v) with tail = P(V > v_prev)
-    h_at = {}
-    acc = ZERO
-    tail = ZERO
-    prev = None
-    for v, p in zip(reversed(values), reversed(probs)):
-        if prev is not None:
-            acc += tail * (prev - v)
-        h_at[v] = acc
-        tail += p
-        prev = v
-    for j in range(len(values) - 1, -1, -1):
-        v = values[j]
-        if h_at[v] >= c:
-            mass = sum(probs[j + 1:], ZERO)
-            return v + (h_at[v] - c) / mass
-    bottom = values[0]
-    return bottom - (c - h_at[bottom]) / tail
+    return _tail_root(positives, c)
 
 
 def weitzman(instance: Instance) -> tuple[Fraction, FixedOrderThresholds]:

@@ -21,13 +21,11 @@ from .costs import (
     CoverageCost,
     ProjectionCost,
     XosCost,
-    _labels_of,
-    _masks_by_size,
 )
 from .errors import DomainError
 from .instances import FiniteDistribution, Instance, WeightedBernoulli
 from .rationals import rat
-from .solvers import _threshold_dp
+from .solvers import _tail_root, _threshold_dp
 from .strategies import FixedOrderThresholds, ImpulsiveStrategy, eval_fixed_order, eval_impulsive
 
 ZERO = Fraction(0)
@@ -49,28 +47,15 @@ class DiscretizationParams:
 def kappa_epsilon(instance: Instance, epsilon) -> Fraction:
     """Least kappa >= 0 with sum_i E[(V_i - kappa)^+] <= eps, solved exactly.
 
-    The tail sum is piecewise linear and decreasing in kappa with breakpoints
-    at the support atoms, so the minimizer is either 0, a breakpoint, or the
-    unique crossing on one linear segment; no numeric root-finding involved.
+    For kappa >= 0 only the positive atoms enter the tail sum, so kappa is
+    the tail root over all boxes' positive atoms pooled, clamped at 0; no
+    numeric root-finding involved.
     """
     eps = rat(epsilon)
     if eps <= 0:
         raise DomainError(f"epsilon must be positive, got {eps}")
-
-    def tail(kappa: Fraction) -> Fraction:
-        return sum((box.expected_excess(kappa) for box in instance.boxes), ZERO)
-
-    if tail(ZERO) <= eps:
-        return ZERO
-    breaks = sorted({v for box in instance.boxes for v in box.support if v > 0})
-    for lo, hi in zip([ZERO] + breaks, breaks):
-        t_lo, t_hi = tail(lo), tail(hi)
-        if t_hi <= eps:
-            # crossing inside (lo, hi]; slope is -sum_i P(V_i > lo)
-            mass = sum((box.prob_of(v) for box in instance.boxes
-                        for v in box.support if v > lo), ZERO)
-            return lo + (t_lo - eps) / mass
-    raise AssertionError("tail vanishes at the top breakpoint")  # pragma: no cover
+    atoms = [(v, p) for box in instance.boxes for v, p in box.atoms if v > 0]
+    return max(ZERO, _tail_root(atoms, eps)) if atoms else ZERO
 
 
 def discretize(instance: Instance, epsilon) -> Instance:
@@ -126,10 +111,6 @@ class BernoullificationMap:
     pairs: tuple[tuple[int, int], ...]
     values: tuple[Fraction, ...]
     weights: tuple[Fraction, ...]
-
-    @property
-    def lifted_cost(self) -> CostOracle:
-        return self.lifted.cost
 
     def label_for(self, pair: tuple[int, int]) -> int:
         try:
@@ -270,19 +251,21 @@ def _budget_additive_decision(cost: CostOracle) -> ClassReport:
     table = cost.table()
     budget = table[-1]
     w = {b: table[1 << i] for i, b in enumerate(cost.ground)}
-    for mask in _masks_by_size(cost.arity):
-        combo = _labels_of(mask, cost.ground)
-        canonical = min(budget, sum((w[b] for b in combo), ZERO))
-        if canonical != table[mask]:
-            witness = {
-                "S": combo,
-                "budget": str(budget),
-                "weights": {str(b): str(w[b]) for b in combo},
-                "min(B, sum w)": str(canonical),
-                "cost": str(table[mask]),
-            }
-            return ClassReport("budget_additive", False, witness)
-    return ClassReport("budget_additive", True, None)
+
+    def canonical(S) -> Fraction:
+        return min(budget, sum((w[b] for b in S), ZERO))
+
+    ok, S = cost.matches(canonical)
+    if ok:
+        return ClassReport("budget_additive", True, None)
+    combo = sorted(S)
+    return ClassReport("budget_additive", False, {
+        "S": combo,
+        "budget": str(budget),
+        "weights": {str(b): str(w[b]) for b in combo},
+        "min(B, sum w)": str(canonical(S)),
+        "cost": str(cost.eval(S)),
+    })
 
 
 def check_preservation(instance: Instance, cls: str) -> ClassReport:

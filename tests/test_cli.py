@@ -350,6 +350,27 @@ class TestHardness:
         assert code == 0
         assert data["n"] == 1000000001
 
+    def test_params_past_double_precision(self, capsys):
+        code, data = run_json(capsys, "hardness", "params", "--n", str(10 ** 30))
+        assert code == 0
+        assert (data["alpha"], data["beta"]) == (13815510557964275, 955)
+
+    def test_query_draw_is_bounded_before_anything_is_drawn(self, capsys, monkeypatch):
+        import types
+
+        import pandora.hardness
+
+        def no_draws(*args):
+            raise AssertionError("the experiment started drawing")
+
+        monkeypatch.setattr(pandora.hardness, "random", types.SimpleNamespace(Random=no_draws))
+        code, data = run_json(capsys, "hardness", "distinguish", "--n", "1000000",
+                              "--alpha", "500000", "--beta", "1", "--budget", "1000",
+                              "--trials", "1")
+        assert code == 2
+        assert data["error"]["type"] == "domain"
+        assert "budget * alpha" in data["error"]["message"]
+
 
 class TestCorpusAndVerify:
     def test_corpus_run(self, capsys):
@@ -402,12 +423,12 @@ class TestPlumbing:
         program = ("import sys, pandora\n"
                    "pandora.verify_family(1000)\n"
                    "pandora.distinguish_experiment(8, budget=3, trials=50, seed=5, alpha=4, beta=2)\n"
-                   "print('numpy' in sys.modules)\n")
+                   "print(sorted({'numpy', 'mpmath'} & set(sys.modules)))\n")
         src = str(Path(pandora.__file__).resolve().parents[1])
         done = subprocess.run([sys.executable, "-c", program], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=60)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "False"
+        assert done.stdout.strip() == "[]"
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

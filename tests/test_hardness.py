@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from scipy.stats import hypergeom
 
@@ -34,6 +37,31 @@ class TestParams:
             b_exact = math.log(n) ** 2 / 5
             assert p.alpha - 1 < a_exact < p.alpha + 1e-9
             assert p.beta - 1 < b_exact < p.beta + 1e-9
+
+    def test_pinned_digest(self):
+        # (alpha, beta) for every n in 3..20000 and a seeded sample up to 10^6,
+        # recorded from the earlier mpmath interval-arithmetic implementation
+        ns = [*range(3, 20001),
+              *sorted(random.Random(20231).sample(range(20001, 10 ** 6 + 1), 3000))]
+        digest = hashlib.sha256()
+        for n in ns:
+            try:
+                p = hardness_params(n)
+            except DomainError:
+                digest.update(f"{n}:DomainError\n".encode())
+            else:
+                digest.update(f"{n}:{p.alpha}:{p.beta}\n".encode())
+        assert digest.hexdigest() == (
+            "2919eb021809117f525a0b04abaa2d30caec2d1f895d67d16d9f31230cc2f01e")
+
+    @pytest.mark.parametrize("exponent", [30, 100, 200, 1000])
+    def test_matches_mpmath_at_high_precision(self, exponent):
+        n = 10 ** exponent
+        p = hardness_params(n)
+        with mpmath.mp.workdps(2 * exponent + 50):
+            ln = mpmath.log(n)
+            assert p.alpha == int(mpmath.ceil(ln * mpmath.sqrt(n) / 5))
+            assert p.beta == int(mpmath.ceil(ln ** 2 / 5))
 
     def test_overrides(self):
         p = hardness_params(6, alpha=4, beta=1)
@@ -241,7 +269,6 @@ class TestPinnedReports:
 
     @staticmethod
     def digest(report):
-        import hashlib
         import json
 
         text = json.dumps(report.to_json(), sort_keys=True)
@@ -282,8 +309,6 @@ class TestPinnedReports:
         (100000, None, None, "a1f502499bab08a20507b5ad0fef61b0c59b6e7acab0a2205783bb2ab1765687", None),
     ])
     def test_utilities_at_every_size(self, n, alpha, beta, floats, exact):
-        import hashlib
-
         params = hardness_params(n, alpha=alpha, beta=beta)
         sizes = [(s, v) for v in ("baseline", "planted_subsetR")
                  for s in range((n if v == "baseline" else params.alpha) + 1)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .costs import CostOracle, _labels_of
+from .costs import CostOracle, _check_monotone_normalized, _labels_of
 from .errors import DomainError
 from .limits import guard
 from .rationals import scaled
@@ -35,25 +35,6 @@ class ClassReport:
 
     def __bool__(self) -> bool:
         return self.passed
-
-
-def _check_monotone_normalized(labels, vals, D) -> dict | None:
-    n = len(labels)
-    if vals[0] != 0:
-        return {"reason": "not normalized", "c_empty": str(Fraction(vals[0], D))}
-    for mask in range(1 << n):
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            if vals[mask | 1 << i] < vals[mask]:
-                return {
-                    "reason": "not monotone",
-                    "S": _labels_of(mask, labels),
-                    "x": labels[i],
-                    "c_S": str(Fraction(vals[mask], D)),
-                    "c_Sx": str(Fraction(vals[mask | 1 << i], D)),
-                }
-    return None
 
 
 def _check_submodular(labels, vals, D) -> dict | None:

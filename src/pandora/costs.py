@@ -4,8 +4,9 @@ Every concrete family is normalized (c(empty) = 0) and monotone, either by
 construction (additive, coverage, ...) or by eager table validation
 (ExplicitCost).  Oracles are immutable after construction.  Every 2^n layer
 reads `CostOracle.table()`: c(S) for all S as one tuple indexed by bitmask
-(bit i <-> ground[i]), filled once through `eval` and cached.  Only grounds
-given by the caller are validated; wrappers reuse their inner oracle's, and
+(bit i <-> ground[i]), filled once and cached.  It is the only cache: `eval`
+recomputes, and a QueryCountingOracle shares its inner oracle's table.  Only
+grounds given by the caller are validated; wrappers reuse their inner's, and
 every `HardnessCost` on n boxes shares one cached 1..n ground (tuple and
 frozenset), so construction is O(1) once that ground exists.
 """
@@ -25,10 +26,6 @@ BoxSet = frozenset[int]
 ZERO = Fraction(0)
 
 
-def _boxset(boxes: Iterable[int]) -> BoxSet:
-    return boxes if isinstance(boxes, frozenset) else frozenset(boxes)
-
-
 def _masks_by_size(n: int):
     """Every bitmask over n bits: by size, then in lexicographic order of the
     set bits (the order itertools.combinations visits subsets in)."""
@@ -40,6 +37,28 @@ def _masks_by_size(n: int):
 
 def _labels_of(mask: int, labels: tuple[int, ...]) -> list[int]:
     return [b for i, b in enumerate(labels) if mask >> i & 1]
+
+
+def _check_monotone_normalized(labels, vals, D) -> dict | None:
+    """None if the bitmask table `vals` (values times D) is normalized and
+    monotone, else a witness: c(empty), or the first S and x by mask, then
+    bit, with c(S + x) < c(S)."""
+    n = len(labels)
+    if vals[0] != 0:
+        return {"reason": "not normalized", "c_empty": str(Fraction(vals[0], D))}
+    for mask in range(1 << n):
+        for i in range(n):
+            if mask >> i & 1:
+                continue
+            if vals[mask | 1 << i] < vals[mask]:
+                return {
+                    "reason": "not monotone",
+                    "S": _labels_of(mask, labels),
+                    "x": labels[i],
+                    "c_S": str(Fraction(vals[mask], D)),
+                    "c_Sx": str(Fraction(vals[mask | 1 << i], D)),
+                }
+    return None
 
 
 def _power_set(labels: Sequence[int]) -> list[BoxSet]:
@@ -56,12 +75,9 @@ class CostOracle:
     `ground` is the sorted tuple of box labels the oracle is defined on.  The
     default labelling of an n-box instance is 1..n, but transformed oracles may
     use other labels (the XOS lift adds a box 0, the Bernoullification
-    relabels copies).  Subclasses implement `_value(S)`; evaluation is
-    memoized unless the subclass turns `memoize` off (cheap closed forms,
-    wrappers).
+    relabels copies).  Subclasses implement `_value(S)`; `eval` checks the
+    set against the ground and never caches, `table()` is the one cache.
     """
-
-    memoize = True
 
     def __init__(self, ground: Iterable[int]):
         labels = tuple(sorted(ground))
@@ -75,7 +91,6 @@ class CostOracle:
         """Install a ground already known to be sorted, distinct ints."""
         self.ground = labels
         self._members = members
-        self._memo: dict[BoxSet, Fraction] = {}
         self._table: tuple[Fraction, ...] | None = None
 
     @property
@@ -83,17 +98,12 @@ class CostOracle:
         return len(self.ground)
 
     def eval(self, boxes: Iterable[int]) -> Fraction:
-        S = _boxset(boxes)
+        S = frozenset(boxes)
         if not S <= self._members:
             raise DomainError(
                 f"boxes {sorted(S - self._members)} outside ground set {self.ground}"
             )
-        if not self.memoize:
-            return self._value(S)
-        hit = self._memo.get(S)
-        if hit is None:
-            hit = self._memo[S] = self._value(S)
-        return hit
+        return self._value(S)
 
     def _value(self, S: BoxSet) -> Fraction:
         raise NotImplementedError
@@ -101,15 +111,15 @@ class CostOracle:
     def table(self) -> tuple[Fraction, ...]:
         """c(S) for every S <= ground, indexed by bitmask (bit i <-> ground[i]).
 
-        Filled once through `eval` (so a counting wrapper sees each subset
-        once) and cached; raises CapabilityError above the validator bound.
+        Filled once through `_value` and cached; raises CapabilityError above
+        the validator bound.
         """
         if self._table is None:
             guard("validator", self.arity)
             # two half-size power sets: the fill itself holds about 2^(n/2) sets
             half = self.arity // 2
             low = _power_set(self.ground[:half])
-            self._table = tuple(self.eval(L | H) for H in _power_set(self.ground[half:])
+            self._table = tuple(self._value(L | H) for H in _power_set(self.ground[half:])
                                 for L in low)
         return self._table
 
@@ -131,7 +141,7 @@ class CostOracle:
 
 def marginal_cost(oracle: CostOracle, S: Iterable[int], T: Iterable[int]) -> Fraction:
     """c(S | T) = c(S u T) - c(T); S and T must be disjoint."""
-    S, T = _boxset(S), _boxset(T)
+    S, T = frozenset(S), frozenset(T)
     if S & T:
         raise DomainError(f"marginal sets overlap on {sorted(S & T)}")
     return oracle.eval(S | T) - oracle.eval(T)
@@ -143,44 +153,31 @@ class ExplicitCost(CostOracle):
     `table` maps subsets (any iterable of labels; hashability not required) to
     rational costs and must contain every one of the 2^n subsets of the
     inferred ground set.  Normalization and monotonicity are checked eagerly
-    rather than at query time, so a constructed ExplicitCost is trustworthy.
+    rather than at query time, so a constructed ExplicitCost is trustworthy
+    (and nonnegative: monotone from c(empty) = 0).
     """
 
     def __init__(self, table: Mapping, ground: Iterable[int] | None = None):
         entries: dict[BoxSet, Fraction] = {}
         for key, cost in table.items():
-            entries[_boxset(key)] = rat(cost)
+            entries[frozenset(key)] = rat(cost)
         if ground is None:
-            inferred: set[int] = set()
-            for key in entries:
-                inferred |= key
-            ground = inferred
+            ground = frozenset().union(*entries)
         super().__init__(ground)
         n = self.arity
         if len(entries) != 1 << n:
             raise DomainError(
                 f"table has {len(entries)} entries, need 2^{n} = {1 << n}"
             )
-        empty = entries.get(frozenset())
-        if empty is None:
-            raise DomainError("table is missing the empty set")
-        if empty != 0:
-            raise DomainError(f"not normalized: c(empty) = {empty}")
-        # monotonicity via single-element extensions; covers the full order
+        bit = {b: 1 << i for i, b in enumerate(self.ground)}
+        vals = [ZERO] * (1 << n)
         for key, cost in entries.items():
-            if cost < 0:
-                raise DomainError(f"negative cost {cost} at {sorted(key)}")
-            for b in self.ground:
-                if b in key:
-                    continue
-                bigger = entries.get(key | {b})
-                if bigger is None:
-                    raise DomainError(f"table is missing subset {sorted(key | {b})}")
-                if bigger < cost:
-                    raise DomainError(
-                        f"not monotone: c({sorted(key)}) = {cost} > "
-                        f"c({sorted(key | {b})}) = {bigger}"
-                    )
+            if not key <= self._members:
+                raise DomainError(f"table key {sorted(key)} outside ground set {self.ground}")
+            vals[sum(bit[b] for b in key)] = cost
+        bad = _check_monotone_normalized(self.ground, vals, 1)
+        if bad:
+            raise DomainError(f"explicit cost table fails monotone_normalized: {bad}")
         self._entries = entries
 
     def _value(self, S: BoxSet) -> Fraction:
@@ -194,19 +191,23 @@ class ExplicitCost(CostOracle):
         }
 
 
+def _per_box_weights(per_box: Mapping[int, object] | Sequence[object]) -> dict[int, Fraction]:
+    """Nonnegative weights by label; a sequence labels its entries 1..n."""
+    if isinstance(per_box, Mapping):
+        weights = {b: rat(c) for b, c in per_box.items()}
+    else:
+        weights = {i + 1: rat(c) for i, c in enumerate(per_box)}
+    for b, c in weights.items():
+        if c < 0:
+            raise DomainError(f"negative cost {c} for box {b}")
+    return weights
+
+
 class AdditiveCost(CostOracle):
     """c(S) = sum of per-box costs."""
 
-    memoize = False
-
     def __init__(self, per_box: Mapping[int, object] | Sequence[object]):
-        if isinstance(per_box, Mapping):
-            weights = {b: rat(c) for b, c in per_box.items()}
-        else:
-            weights = {i + 1: rat(c) for i, c in enumerate(per_box)}
-        for b, c in weights.items():
-            if c < 0:
-                raise DomainError(f"negative cost {c} for box {b}")
+        weights = _per_box_weights(per_box)
         super().__init__(weights)
         self.per_box = weights
 
@@ -220,19 +221,11 @@ class AdditiveCost(CostOracle):
 class BudgetAdditiveCost(CostOracle):
     """c(S) = min(budget, sum of per-box costs)."""
 
-    memoize = False
-
     def __init__(self, per_box: Mapping[int, object] | Sequence[object], budget: object):
-        if isinstance(per_box, Mapping):
-            weights = {b: rat(c) for b, c in per_box.items()}
-        else:
-            weights = {i + 1: rat(c) for i, c in enumerate(per_box)}
+        weights = _per_box_weights(per_box)
         B = rat(budget)
         if B < 0:
             raise DomainError(f"negative budget {B}")
-        for b, c in weights.items():
-            if c < 0:
-                raise DomainError(f"negative cost {c} for box {b}")
         super().__init__(weights)
         self.per_box = weights
         self.budget = B
@@ -263,7 +256,7 @@ class CoverageCost(CostOracle):
             weight = rat(w)
             if weight < 0:
                 raise DomainError(f"negative element weight {weight}")
-            g = _boxset(group)
+            g = frozenset(group)
             if not g <= self._members:
                 raise DomainError(f"cover group {sorted(g)} outside ground {self.ground}")
             elems.append((weight, g))
@@ -359,7 +352,7 @@ class TreeClosureCost(CostOracle):
 
     def closure(self, S: Iterable[int]) -> BoxSet:
         """Union of root paths of the nodes in S; always contains the root."""
-        S = _boxset(S)
+        S = frozenset(S)
         if not S <= self._members:
             raise DomainError(f"nodes {sorted(S - self._members)} not in the tree")
         out = {0}
@@ -397,11 +390,9 @@ class HardnessCost(CostOracle):
 
     Both are matroid rank functions.  They agree on every S intersecting R
     in at most beta boxes, which is what makes the planted set hard to find
-    by cost queries.  Evaluation is a closed form; no memoization (the
-    experiment harness queries millions of large random sets).
+    by cost queries.  Evaluation is a closed form (the experiment harness
+    queries millions of large random sets).
     """
-
-    memoize = False
 
     def __init__(self, n: int, alpha: int, beta: int | None = None, R: Iterable[int] | None = None):
         if n < 1:
@@ -419,7 +410,7 @@ class HardnessCost(CostOracle):
         else:
             if beta is None:
                 raise DomainError("a planted set needs beta")
-            R = _boxset(R)
+            R = frozenset(R)
             if not R <= self._members:
                 raise DomainError("planted set outside 1..n")
             if len(R) != alpha:
@@ -444,10 +435,8 @@ class HardnessCost(CostOracle):
 class MarginalOracle(CostOracle):
     """c(. | T) as an oracle on ground(inner) - T; normalized and monotone."""
 
-    memoize = False
-
     def __init__(self, inner: CostOracle, T: Iterable[int]):
-        T = _boxset(T)
+        T = frozenset(T)
         if not T <= inner._members:
             raise DomainError(f"conditioning set {sorted(T)} outside {inner.ground}")
         self._adopt(tuple(b for b in inner.ground if b not in T), inner._members - T)
@@ -467,8 +456,6 @@ class ProjectionCost(CostOracle):
     free -- exactly the lifted-cost behavior the Bernoulli transformation
     needs.  With an injective map this is a plain restriction/renumbering.
     """
-
-    memoize = False
 
     def __init__(self, ground: Iterable[int], label_map: Mapping[int, int], inner: CostOracle):
         super().__init__(ground)
@@ -509,12 +496,9 @@ class ProjectionCost(CostOracle):
 class QueryCountingOracle(CostOracle):
     """Forwarding wrapper that tallies every eval call.
 
-    Never caches per query (a cache would hide repeat queries from the
-    tally); `table()` fills through `eval`, so a tabulation counts each
-    subset exactly once.
+    `table()` is the inner oracle's cached table, counted as 2^n queries
+    once: a tabulation asks for each subset exactly once.
     """
-
-    memoize = False
 
     def __init__(self, inner: CostOracle):
         self._adopt(inner.ground, inner._members)
@@ -524,6 +508,12 @@ class QueryCountingOracle(CostOracle):
     def _value(self, S: BoxSet) -> Fraction:
         self.count += 1
         return self.inner.eval(S)
+
+    def table(self) -> tuple[Fraction, ...]:
+        if self._table is None:
+            self._table = self.inner.table()
+            self.count += len(self._table)
+        return self._table
 
 
 def xos_lift(f: CostOracle) -> XosCost:
@@ -536,23 +526,20 @@ def xos_lift(f: CostOracle) -> XosCost:
     g itself stops being submodular in interesting cases.
 
     Reads f's table, so it shares the validator size guard.  Raises if f
-    turns out not to be monotone.
+    turns out not to be normalized and monotone, which the lift's
+    correctness rests on.
     """
     n = f.arity
     guard("xos_lift", n)
     if 0 in f._members:
         raise DomainError("lift needs the label 0 to be free")
     values = f.table()
+    bad = _check_monotone_normalized(f.ground, values, 1)
+    if bad:
+        raise DomainError(f"lifted function fails monotone_normalized: {bad}")
     big = n * values[-1]
     clauses: list[dict[int, Fraction]] = [{0: big}]
     for mask in _masks_by_size(n):
-        # monotonicity of f feeds directly into the lift's correctness; verify
-        for i in range(n):
-            if not mask >> i & 1 and values[mask | 1 << i] < values[mask]:
-                raise DomainError(
-                    f"lifted function must be monotone; violated at "
-                    f"{_labels_of(mask, f.ground)} + {f.ground[i]}"
-                )
         if mask:
             S = _labels_of(mask, f.ground)
             share = (big + values[mask]) / len(S)

@@ -302,13 +302,25 @@ def verify_family(n: int, *, alpha: int | None = None,
 def hypergeometric_tail(n: int, alpha: int, beta: int) -> Fraction:
     """P(|S cap R| > beta) for independent uniform alpha-subsets S, R of [n].
 
-    Exact summation: sum_{k > beta} C(alpha, k) C(n - alpha, alpha - k) / C(n, alpha).
+    Exact: sum_{k > beta} t_k / C(n, alpha) with t_k = C(alpha, k) C(n - alpha,
+    alpha - k).  The t_k are nonzero for k0 = max(0, 2 alpha - n) <= k <= alpha
+    and sum to C(n, alpha), so only the shorter side of beta is summed, each
+    term from its neighbour by their exact integer ratio: down from
+    t_alpha = 1, or up from t_k0 with the sum taken from C(n, alpha).
     """
     total = math.comb(n, alpha)
-    hits = sum(
-        math.comb(alpha, k) * math.comb(n - alpha, alpha - k)
-        for k in range(beta + 1, alpha + 1)
-    )
+    k0 = max(0, 2 * alpha - n)
+    m = n - 2 * alpha
+    if alpha - beta <= beta - k0 + 1:
+        hits, t = 0, 1
+        for k in range(alpha, beta, -1):
+            hits += t
+            t = t * k * (m + k) // (alpha - k + 1) ** 2
+    else:
+        hits, t = total, math.comb(alpha, k0) * math.comb(n - alpha, alpha - k0)
+        for k in range(k0, beta + 1):
+            hits -= t
+            t = t * (alpha - k) ** 2 // ((k + 1) * (m + k + 1))
     return Fraction(hits, total)
 
 

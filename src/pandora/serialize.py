@@ -121,7 +121,7 @@ def cost_from_json(data: dict, *, boxes: int | None = None) -> CostOracle:
             )
     except ParseError:
         raise
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise ParseError(f"malformed {kind} cost: {exc}") from exc
     raise ParseError(f"unknown cost kind {kind!r}")
 
@@ -185,7 +185,9 @@ def instance_from_json(data: dict) -> Instance:
         cost = ProjectionCost(survivors, {b: b for b in survivors}, cost)
 
     cls = data.get("cost_class")
-    if cls is not None and cls in VALIDATORS:
+    if cls is not None and not isinstance(cls, str):
+        raise ParseError(f"cost_class must be a string, got {type(cls).__name__}")
+    if cls in VALIDATORS:
         limit = bound("gross_substitutes" if cls == "gross_substitutes" else "validator")
         if cost.arity <= limit:
             report = validate_class(cost, cls)
@@ -273,19 +275,26 @@ def _tree_to_json(node: PolicyTree) -> dict:
 
 
 def strategy_from_json(data: dict):
+    if not isinstance(data, dict):
+        raise ParseError(f"strategy must be an object, got {type(data).__name__}")
     kind = _require(data, "kind", "strategy")
-    if kind == "impulsive":
-        return ImpulsiveStrategy(tuple(int(b) for b in _require(data, "order", kind)))
-    if kind == "impulsive_with_dummies":
-        base = ImpulsiveStrategy(tuple(int(b) for b in _require(data, "order", kind)))
-        return ImpulsiveWithDummies(base, frozenset(int(b) for b in _require(data, "opened", kind)))
-    if kind == "fixed_order":
-        return FixedOrderThresholds(
-            tuple(int(b) for b in _require(data, "sigma", kind)),
-            tuple(parse_extended(t) for t in _require(data, "thresholds", kind)),
-        )
-    if kind == "policy_tree":
-        return _tree_from_json(_require(data, "root", kind))
+    try:
+        if kind == "impulsive":
+            return ImpulsiveStrategy(tuple(int(b) for b in _require(data, "order", kind)))
+        if kind == "impulsive_with_dummies":
+            base = ImpulsiveStrategy(tuple(int(b) for b in _require(data, "order", kind)))
+            return ImpulsiveWithDummies(base, frozenset(int(b) for b in _require(data, "opened", kind)))
+        if kind == "fixed_order":
+            return FixedOrderThresholds(
+                tuple(int(b) for b in _require(data, "sigma", kind)),
+                tuple(parse_extended(t) for t in _require(data, "thresholds", kind)),
+            )
+        if kind == "policy_tree":
+            return _tree_from_json(_require(data, "root", kind))
+    except ParseError:
+        raise
+    except (ValueError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
+        raise ParseError(f"malformed {kind} strategy: {exc}") from exc
     raise ParseError(f"unknown strategy kind {kind!r}")
 
 

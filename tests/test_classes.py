@@ -19,6 +19,7 @@ from pandora import (
     random_instance,
     subadditive4,
     validate_class,
+    xos_lift,
 )
 
 from oracles import _subsets, is_subadditive, is_submodular
@@ -220,6 +221,13 @@ def test_witness_payloads_are_pinned(cost, cls, witness):
     rep = validate_class(cost, cls)
     assert not rep.passed
     assert rep.witness == witness
+
+
+@pytest.mark.parametrize("cost, witness", [(cost, w) for cost, _, w in WITNESSES[:2]])
+def test_xos_lift_refuses_with_the_validator_witness(cost, witness):
+    with pytest.raises(DomainError, match="lifted function fails monotone_normalized") as err:
+        xos_lift(cost)
+    assert str(witness) in str(err.value)
 
 
 FAMILIES = ("bernoulli_coverage", "bernoulli_tree", "bernoulli_hardness",

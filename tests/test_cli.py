@@ -82,6 +82,15 @@ class TestSolve:
             assert code == 0
             assert data["query_count"] == 64
 
+    @pytest.mark.parametrize("cost_class", ["[]", "{}"])
+    def test_non_string_cost_class_is_a_parse_error(self, capsys, tmp_path, cost_class):
+        path = tmp_path / "bad_class.json"
+        path.write_text('{"boxes": [{"label": 1, "atoms": [["1", "1"]]}], "cost": {"kind": '
+                        '"additive", "per_box": {"1": "1"}}, "cost_class": ' + cost_class + "}")
+        code, data = run_json(capsys, "solve", "-i", str(path))
+        assert code == 2
+        assert data["error"]["type"] == "parse"
+
     def test_missing_file(self, capsys, tmp_path):
         code, data = run_json(capsys, "solve", "-i", str(tmp_path / "nope.json"))
         assert code == 2

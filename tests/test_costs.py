@@ -73,9 +73,14 @@ class TestExplicitCost:
         with pytest.raises(DomainError, match="normalized"):
             ExplicitCost({(): 1, (1,): 1})
 
+    def test_key_outside_the_ground(self):
+        with pytest.raises(DomainError, match=r"table key \[3\] outside ground"):
+            ExplicitCost({(): 0, (3,): 1}, ground=(1,))
+
     def test_not_monotone(self):
-        with pytest.raises(DomainError, match="monotone"):
+        with pytest.raises(DomainError, match="monotone") as err:
             ExplicitCost({(): 0, (1,): 2, (2,): 0, (1, 2): 1})
+        assert "'S': [1], 'x': 2" in str(err.value)
 
     def test_negative(self):
         with pytest.raises(DomainError):
@@ -310,7 +315,7 @@ def test_table_above_the_validator_bound_is_refused():
 
 def test_counting_table_counts_each_subset_once():
     counted = QueryCountingOracle(CoverageCost([1, 2, 3], [(1, [1, 2]), (2, [3])]))
-    counted.table()
+    assert counted.table() is counted.inner.table()       # shared, not refilled
     assert counted.count == 8
     counted.table()
     assert counted.count == 8             # served from the cache

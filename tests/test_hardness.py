@@ -172,6 +172,21 @@ class TestHypergeometricTail:
         )
         assert exact == Fraction(hits, math.comb(n, alpha))
 
+    def test_shorter_side_equals_the_direct_sum(self):
+        def direct(n, alpha, beta):
+            hits = sum(math.comb(alpha, k) * math.comb(n - alpha, alpha - k)
+                       for k in range(beta + 1, alpha + 1))
+            return Fraction(hits, math.comb(n, alpha))
+
+        for n in range(1, 25):
+            for alpha in range(1, n + 1):
+                for beta in range(alpha + 1):
+                    assert hypergeometric_tail(n, alpha, beta) == direct(n, alpha, beta)
+        # large alpha, tiny beta: only the k <= 1 side is summed
+        n, alpha = 10 ** 6, 8000
+        miss = math.comb(n - alpha, alpha) + alpha * math.comb(n - alpha, alpha - 1)
+        assert hypergeometric_tail(n, alpha, 1) == 1 - Fraction(miss, math.comb(n, alpha))
+
     def test_against_scipy(self):
         for n, alpha, beta in ((4096, 107, 14), (100, 10, 2), (50, 7, 3)):
             ours = float(hypergeometric_tail(n, alpha, beta))

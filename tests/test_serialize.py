@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from pandora import (
     AdditiveCost,
     BudgetAdditiveCost,
+    CapabilityError,
     CoverageCost,
+    DomainError,
     FixedOrderThresholds,
     HardnessCost,
     ImpulsiveStrategy,
@@ -98,6 +100,8 @@ class TestCostRoundTrips:
     def test_malformed_numbers(self):
         with pytest.raises(ParseError, match="malformed additive"):
             cost_from_json({"kind": "additive", "per_box": {"1": "not-a-number"}})
+        with pytest.raises(ParseError, match="malformed coverage"):
+            cost_from_json({"kind": "coverage", "ground": [float("inf")], "elements": []})
 
 
 def _all_subsets(ground):
@@ -234,3 +238,74 @@ class TestStrategyRoundTrips:
             strategy_from_json({"kind": "psychic"})
         with pytest.raises(ParseError, match="not a serializable strategy"):
             strategy_to_json("just a string")
+
+
+# arbitrary JSON documents, including the non-finite floats json.loads accepts
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=4),
+    max_leaves=12,
+)
+TYPED = (ParseError, DomainError, CapabilityError)
+
+
+def _mutated(doc, data):
+    """A deep copy of `doc` with one node, drawn by `data`, replaced by an
+    arbitrary JSON value or (in an object) deleted."""
+    doc = json.loads(json.dumps(doc))
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node and data.draw(st.booleans()):
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(keys))
+        node = node[key]
+    if isinstance(parent, dict) and data.draw(st.booleans()):
+        del parent[key]
+        return doc
+    value = data.draw(json_values)
+    if parent is None:
+        return value
+    parent[key] = value
+    return doc
+
+
+def _parses_or_refuses(parse, value):
+    try:
+        parse(value)
+    except TYPED:
+        pass
+
+
+class TestMalformedInputs:
+    """Every input ends in a value or a typed error, never a bare exception."""
+
+    @pytest.mark.parametrize("data", [
+        5, [], {"kind": "impulsive", "order": ["x"]}, {"kind": "policy_tree", "root": 5},
+        {"kind": "fixed_order", "sigma": [1], "thresholds": [None]},
+        {"kind": "impulsive", "order": [1, 1]}, {"kind": "impulsive", "order": [float("inf")]},
+    ])
+    def test_malformed_strategies_are_parse_errors(self, data):
+        with pytest.raises(ParseError):
+            strategy_from_json(data)
+
+    @settings(max_examples=150, deadline=None)
+    @given(json_values)
+    def test_arbitrary_json(self, value):
+        _parses_or_refuses(loads_instance, json.dumps(value))
+        _parses_or_refuses(strategy_from_json, value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([unit_demand_pair, example1, subadditive4]), st.data())
+    def test_mutated_instances(self, build, data):
+        _parses_or_refuses(loads_instance, json.dumps(_mutated(instance_to_json(build()), data)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_mutated_strategies(self, data):
+        halt = PolicyTree.halt()
+        valid = [
+            strategy_to_json(PolicyTree.open(1, {10: PolicyTree.open(2, {0: halt}), 0: halt})),
+            strategy_to_json(FixedOrderThresholds((2, 1), (INF, Fraction(1, 2)))),
+            strategy_to_json(ImpulsiveWithDummies(ImpulsiveStrategy((3, 1, 2)), {1, 3})),
+        ]
+        _parses_or_refuses(strategy_from_json, _mutated(data.draw(st.sampled_from(valid)), data))

@@ -6,9 +6,11 @@ violating tuple.  XOS is deliberately absent -- recognizing XOS structure
 from value queries is intractable, so XOS claims are always backed by an
 explicit clause certificate (see `XosCost.matches`).
 
-The checks compare integers: the cost table is scaled once by D, the lcm of
-its denominators (`rationals.scaled`), and witness values are rendered back
-as the Fractions x / D, so a witness reads as it would in exact rationals.
+The checks compare integers: they read the cost's one cached table,
+`CostOracle.table()`, as its pair (ints, D) -- every c(S) times D, the lcm of
+the cost's own denominators, built by the cost's own integer kernel -- and
+render witness values back as the Fractions x / D, so a witness reads as it
+would in exact rationals.  No Fraction is made per subset.
 
 The hierarchy being checked:  additive < gross substitutes < submodular <
 XOS < subadditive, with matroid rank functions sitting inside gross
@@ -22,7 +24,6 @@ from fractions import Fraction
 from .costs import CostOracle, _check_monotone_normalized, _labels_of
 from .errors import DomainError
 from .limits import guard
-from .rationals import scaled
 
 __all__ = ["ClassReport", "validate_class", "VALIDATORS"]
 
@@ -155,6 +156,6 @@ def validate_class(oracle: CostOracle, cls: str) -> ClassReport:
     if check is None:
         raise DomainError(f"unknown cost class {cls!r}; choose from {sorted(VALIDATORS)}")
     guard("gross_substitutes" if cls == "gross_substitutes" else "validator", oracle.arity)
-    vals, D = scaled(oracle.table())
-    witness = check(oracle.ground, vals, D)
+    table = oracle.table()
+    witness = check(oracle.ground, table.ints, table.D)
     return ClassReport(cls=cls, passed=witness is None, witness=witness)

@@ -13,7 +13,7 @@ fails the suite.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -90,14 +90,7 @@ class CheckResult:
     provenance: str
 
     def to_json(self) -> dict:
-        return {
-            "entry": self.entry,
-            "kind": self.kind,
-            "passed": self.passed,
-            "expected": self.expected,
-            "got": self.got,
-            "provenance": self.provenance,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -3,12 +3,14 @@
 Every concrete family is normalized (c(empty) = 0) and monotone, either by
 construction (additive, coverage, ...) or by eager table validation
 (ExplicitCost).  Oracles are immutable after construction.  Every 2^n layer
-reads `CostOracle.table()`: c(S) for all S as one tuple indexed by bitmask
-(bit i <-> ground[i]), filled once and cached.  It is the only cache: `eval`
-recomputes, and a QueryCountingOracle shares its inner oracle's table.  Only
-grounds given by the caller are validated; wrappers reuse their inner's, and
-every `HardnessCost` on n boxes shares one cached 1..n ground (tuple and
-frozenset), so construction is O(1) once that ground exists.
+reads `CostOracle.table()`, the one cache: the `Table` (ints, D), ints[S] =
+c(S) * D by bitmask S (bit i <-> ground[i]) with D the lcm of the cost's own
+denominators.  Each kind builds its ints with no Fraction per subset (see
+`_ints`); `eval` recomputes, and a QueryCountingOracle shares its inner
+oracle's table, counted as 2^n queries once.  Only grounds given by the
+caller are validated; wrappers reuse their inner's, and every `HardnessCost`
+on n boxes shares one cached 1..n ground (tuple and frozenset), so
+construction is O(1) once that ground exists.
 """
 from __future__ import annotations
 
@@ -18,8 +20,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError
-from .limits import guard
-from .rationals import rat
+from .limits import bound, guard, guard_bits
+from .rationals import rat, scaled
 
 BoxSet = frozenset[int]
 
@@ -61,12 +63,40 @@ def _check_monotone_normalized(labels, vals, D) -> dict | None:
     return None
 
 
-def _power_set(labels: Sequence[int]) -> list[BoxSet]:
-    """Every subset of `labels` as a frozenset, indexed by bitmask."""
-    sets = [frozenset()]
-    for b in labels:
-        sets += [S | {b} for S in sets]
-    return sets
+def _cover_ints(weights: Sequence[int], cover: Sequence[int] | None = None) -> list[int]:
+    """By bitmask S: the total integer weight of the elements S covers, box i
+    covering the element bits set in cover[i] (by default element i alone:
+    an additive sum).  One doubling pass, after checking the bit budget: S
+    plus box i adds the weight of the elements box i newly covers."""
+    if cover is None:
+        cover = [1 << i for i in range(len(weights))]
+    guard_bits(1 << len(cover), sum(weights).bit_length())
+    gain = {0: 0}                   # total weight of an element bitmask
+    covered, vals = [0], [0]
+    for box in cover:
+        fresh = [box & ~c for c in covered]
+        for e in set(fresh).difference(gain):
+            gain[e] = sum(w for k, w in enumerate(weights) if e >> k & 1)
+        vals += [v + gain[e] for v, e in zip(vals, fresh)]
+        covered += [c | box for c in covered]
+    return vals
+
+
+class Table:
+    """c(S) for every S <= ground by bitmask, held as ints[S] = c(S) * D: the
+    kernels read `ints` and `D`; indexing makes the Fraction c(S) on access."""
+
+    __slots__ = ("ints", "D")
+
+    def __init__(self, ints: list[int], D: int):
+        self.ints = ints
+        self.D = D
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def __getitem__(self, mask: int) -> Fraction:
+        return Fraction(self.ints[mask], self.D)
 
 
 class CostOracle:
@@ -75,8 +105,9 @@ class CostOracle:
     `ground` is the sorted tuple of box labels the oracle is defined on.  The
     default labelling of an n-box instance is 1..n, but transformed oracles may
     use other labels (the XOS lift adds a box 0, the Bernoullification
-    relabels copies).  Subclasses implement `_value(S)`; `eval` checks the
-    set against the ground and never caches, `table()` is the one cache.
+    relabels copies).  Subclasses implement `_value(S)` and, to tabulate
+    without a Fraction per subset, `_ints()`; `eval` checks the set against
+    the ground and never caches, `table()` is the one cache.
     """
 
     def __init__(self, ground: Iterable[int]):
@@ -91,7 +122,7 @@ class CostOracle:
         """Install a ground already known to be sorted, distinct ints."""
         self.ground = labels
         self._members = members
-        self._table: tuple[Fraction, ...] | None = None
+        self._table: Table | None = None
 
     @property
     def arity(self) -> int:
@@ -108,20 +139,19 @@ class CostOracle:
     def _value(self, S: BoxSet) -> Fraction:
         raise NotImplementedError
 
-    def table(self) -> tuple[Fraction, ...]:
-        """c(S) for every S <= ground, indexed by bitmask (bit i <-> ground[i]).
-
-        Filled once through `_value` and cached; raises CapabilityError above
-        the validator bound.
-        """
+    def table(self) -> Table:
+        """c(S) for every S <= ground as the `Table` (ints, D), built by `_ints`
+        once; raises CapabilityError above the validator bound, or before
+        building ints past the bit budget of `limits.guard_bits`."""
+        guard("validator", self.arity)
         if self._table is None:
-            guard("validator", self.arity)
-            # two half-size power sets: the fill itself holds about 2^(n/2) sets
-            half = self.arity // 2
-            low = _power_set(self.ground[:half])
-            self._table = tuple(self._value(L | H) for H in _power_set(self.ground[half:])
-                                for L in low)
+            self._table = Table(*self._ints())
         return self._table
+
+    def _ints(self) -> tuple[list[int], int]:
+        # the generic fill, for an oracle with no kernel: one `_value` per subset
+        return scaled([self._value(frozenset(_labels_of(m, self.ground)))
+                       for m in range(1 << self.arity)])
 
     def matches(self, reference: Callable[[BoxSet], Fraction]) -> tuple[bool, BoxSet | None]:
         """Certificate check: does this oracle agree with `reference` on every
@@ -130,7 +160,8 @@ class CostOracle:
         mine = self.table()
         for mask in _masks_by_size(self.arity):
             S = frozenset(_labels_of(mask, self.ground))
-            if mine[mask] != reference(S):
+            want = reference(S)
+            if mine.ints[mask] * want.denominator != want.numerator * mine.D:
                 return False, S
         return True, None
 
@@ -154,7 +185,8 @@ class ExplicitCost(CostOracle):
     rational costs and must contain every one of the 2^n subsets of the
     inferred ground set.  Normalization and monotonicity are checked eagerly
     rather than at query time, so a constructed ExplicitCost is trustworthy
-    (and nonnegative: monotone from c(empty) = 0).
+    (and nonnegative: monotone from c(empty) = 0).  The entries are scaled
+    to ints by bitmask once, here: that is the table, and `eval` reads it.
     """
 
     def __init__(self, table: Mapping, ground: Iterable[int] | None = None):
@@ -169,25 +201,25 @@ class ExplicitCost(CostOracle):
             raise DomainError(
                 f"table has {len(entries)} entries, need 2^{n} = {1 << n}"
             )
-        bit = {b: 1 << i for i, b in enumerate(self.ground)}
+        self._bit = {b: 1 << i for i, b in enumerate(self.ground)}
         vals = [ZERO] * (1 << n)
         for key, cost in entries.items():
             if not key <= self._members:
                 raise DomainError(f"table key {sorted(key)} outside ground set {self.ground}")
-            vals[sum(bit[b] for b in key)] = cost
-        bad = _check_monotone_normalized(self.ground, vals, 1)
+            vals[sum(self._bit[b] for b in key)] = cost
+        self._table = Table(*scaled(vals))
+        bad = _check_monotone_normalized(self.ground, self._table.ints, self._table.D)
         if bad:
             raise DomainError(f"explicit cost table fails monotone_normalized: {bad}")
-        self._entries = entries
 
     def _value(self, S: BoxSet) -> Fraction:
-        return self._entries[S]
+        return self._table[sum(self._bit[b] for b in S)]
 
     def spec(self) -> dict:
-        keys = sorted(self._entries, key=lambda k: (len(k), sorted(k)))
         return {
             "kind": "explicit",
-            "table": {",".join(str(b) for b in sorted(k)): str(self._entries[k]) for k in keys},
+            "table": {",".join(map(str, _labels_of(mask, self.ground))): str(self._table[mask])
+                      for mask in _masks_by_size(self.arity)},
         }
 
 
@@ -214,6 +246,10 @@ class AdditiveCost(CostOracle):
     def _value(self, S: BoxSet) -> Fraction:
         return sum((self.per_box[b] for b in S), ZERO)
 
+    def _ints(self) -> tuple[list[int], int]:
+        ints, D = scaled([self.per_box[b] for b in self.ground])
+        return _cover_ints(ints), D
+
     def spec(self) -> dict:
         return {"kind": "additive", "per_box": {str(b): str(self.per_box[b]) for b in self.ground}}
 
@@ -232,6 +268,12 @@ class BudgetAdditiveCost(CostOracle):
 
     def _value(self, S: BoxSet) -> Fraction:
         return min(self.budget, sum((self.per_box[b] for b in S), ZERO))
+
+    def _ints(self) -> tuple[list[int], int]:
+        # the sum capped at B * D; a weight above the cap caps any sum it enters
+        ints, D = scaled([self.per_box[b] for b in self.ground] + [self.budget])
+        cap = ints.pop()
+        return [min(v, cap) for v in _cover_ints([min(w, cap) for w in ints])], D
 
     def spec(self) -> dict:
         return {
@@ -264,6 +306,11 @@ class CoverageCost(CostOracle):
 
     def _value(self, S: BoxSet) -> Fraction:
         return sum((w for w, g in self.elements if S & g), ZERO)
+
+    def _ints(self) -> tuple[list[int], int]:
+        ints, D = scaled([w for w, _ in self.elements])
+        return _cover_ints(ints, [sum(1 << e for e, (_, g) in enumerate(self.elements) if b in g)
+                                  for b in self.ground]), D
 
     def spec(self) -> dict:
         return {
@@ -307,6 +354,15 @@ class XosCost(CostOracle):
             if total > best:
                 best = total
         return best
+
+    def _ints(self) -> tuple[list[int], int]:
+        # each clause's additive sum, then their max
+        ints, D = scaled([w for clause in self.clauses for w in clause.values()])
+        ints, best = iter(ints), [0] * (1 << self.arity)
+        for clause in self.clauses:
+            weights = dict(zip(clause, ints))
+            best = list(map(max, best, _cover_ints([weights.get(b, 0) for b in self.ground])))
+        return best, D
 
     def spec(self) -> dict:
         return {
@@ -366,6 +422,13 @@ class TreeClosureCost(CostOracle):
     def _value(self, S: BoxSet) -> Fraction:
         return sum((self.node_costs[b] for b in self.closure(S)), ZERO)
 
+    def _ints(self) -> tuple[list[int], int]:
+        # coverage of the nodes: a box covers its closure (the root costs 0)
+        ints, D = scaled([self.node_costs[b] for b in self.ground])
+        bit = {b: 1 << i for i, b in enumerate(self.ground)}
+        return _cover_ints(ints, [sum(bit.get(v, 0) for v in self.closure({b}))
+                                  for b in self.ground]), D
+
     def spec(self) -> dict:
         return {
             "kind": "tree",
@@ -423,6 +486,13 @@ class HardnessCost(CostOracle):
             cap = min(cap, self.beta + len(S - self.R))
         return Fraction(cap)
 
+    def _ints(self) -> tuple[list[int], int]:
+        # by popcount; the baseline is the planted form with beta = alpha, R empty
+        beta, R = (self.alpha, ()) if self.R is None else (self.beta, self.R)
+        out = sum(1 << (b - 1) for b in self._members.difference(R))   # bit i <-> box i + 1
+        return [min(m.bit_count(), self.alpha, beta + (m & out).bit_count())
+                for m in range(1 << self.n)], 1
+
     def spec(self) -> dict:
         out: dict = {"kind": "hardness", "n": self.n, "alpha": self.alpha}
         if self.beta is not None:
@@ -471,18 +541,18 @@ class ProjectionCost(CostOracle):
     def _value(self, S: BoxSet) -> Fraction:
         return self.inner.eval({self.label_map[b] for b in S})
 
-    def table(self) -> tuple[Fraction, ...]:
-        # a subset costs what its image does: map bitmasks into the inner
-        # table (when it is no bigger) rather than evaluate 2^n images
-        if self._table is None and self.inner.arity <= self.arity:
-            guard("validator", self.arity)
-            inner = self.inner.table()
-            bit = {b: 1 << i for i, b in enumerate(self.inner.ground)}
-            image = [0]
-            for b in self.ground:
-                image += [m | bit[self.label_map[b]] for m in image]
-            self._table = tuple(inner[m] for m in image)
-        return super().table()
+    def _ints(self) -> tuple[list[int], int]:
+        # a subset costs what its image does: map bitmasks into the inner ints
+        # rather than evaluate 2^n images, unless that table is both larger
+        # and above the bound on tables
+        if self.inner.arity > max(self.arity, bound("validator")):
+            return super()._ints()
+        inner = self.inner.table()
+        bit = {b: 1 << i for i, b in enumerate(self.inner.ground)}
+        image = [0]
+        for b in self.ground:
+            image += [m | bit[self.label_map[b]] for m in image]
+        return [inner.ints[m] for m in image], inner.D
 
     def spec(self) -> dict:
         return {
@@ -509,7 +579,7 @@ class QueryCountingOracle(CostOracle):
         self.count += 1
         return self.inner.eval(S)
 
-    def table(self) -> tuple[Fraction, ...]:
+    def table(self) -> Table:
         if self._table is None:
             self._table = self.inner.table()
             self.count += len(self._table)
@@ -533,23 +603,24 @@ def xos_lift(f: CostOracle) -> XosCost:
     guard("xos_lift", n)
     if 0 in f._members:
         raise DomainError("lift needs the label 0 to be free")
-    values = f.table()
-    bad = _check_monotone_normalized(f.ground, values, 1)
+    table = f.table()
+    values, D = table.ints, table.D
+    bad = _check_monotone_normalized(f.ground, values, D)
     if bad:
         raise DomainError(f"lifted function fails monotone_normalized: {bad}")
-    big = n * values[-1]
-    clauses: list[dict[int, Fraction]] = [{0: big}]
+    big = n * values[-1]            # |X| * f(X), times D
+    clauses: list[dict[int, Fraction]] = [{0: Fraction(big, D)}]
     for mask in _masks_by_size(n):
         if mask:
             S = _labels_of(mask, f.ground)
-            share = (big + values[mask]) / len(S)
+            share = Fraction(big + values[mask], D * len(S))
             clauses.append({b: share for b in S})
     g = XosCost(sorted(f._members | {0}), clauses)
     if n <= 6:
         # the clause construction provably reproduces the formula; keep the
         # self-check where it costs nothing (it is quadratic in the 2^n
         # clause count, so only at toy sizes)
-        ok, witness = g.matches(lambda S: (big if S else ZERO) + f.eval(S - {0}))
+        ok, witness = g.matches(lambda S: (Fraction(big, D) if S else ZERO) + f.eval(S - {0}))
         if not ok:
             raise AssertionError(f"XOS lift certificate broken at {sorted(witness)}")
     return g

@@ -22,7 +22,7 @@ from __future__ import annotations
 import decimal
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .costs import HardnessCost, QueryCountingOracle
@@ -206,22 +206,9 @@ class FamilyReport:
     note: str
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "M": self.M,
-            "regime": dict(self.regime),
-            "verdict": self.verdict,
-            "max_baseline_utility": self.max_baseline_utility,
-            "argmax_s": self.argmax_s,
-            "planted_utility": self.planted_utility,
-            "planted_lower_bound": self.planted_lower_bound,
-            "cases": [dict(c) for c in self.cases],
-            "violations": list(self.violations),
-            "note": self.note,
-            "banner": BANNER,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
+            "regime": dict(self.regime), "cases": [dict(c) for c in self.cases],
+            "violations": list(self.violations), "banner": BANNER}
 
 
 def verify_family(n: int, *, alpha: int | None = None,
@@ -377,22 +364,8 @@ class DistinguishReport:
     banner: str = BANNER
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "algorithm": self.algorithm,
-            "trials": self.trials,
-            "budget": self.budget,
-            "queries_per_trial": self.queries_per_trial,
-            "distinguishing_count": self.distinguishing_count,
-            "rate": self.rate,
-            "aborted_count": self.aborted_count,
-            "query_count_ok": self.query_count_ok,
-            "fixed_set_stats": [dict(s) for s in self.fixed_set_stats],
-            "witness": self.witness,
-            "banner": self.banner,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {
+            "fixed_set_stats": [dict(s) for s in self.fixed_set_stats]}
 
 
 def distinguish_experiment(n: int, algorithm="random_uniform_alpha_sets",

@@ -20,6 +20,8 @@ from .costs import (
     ExplicitCost,
     HardnessCost,
     TreeClosureCost,
+    XosCost,
+    _labels_of,
     xos_lift,
 )
 from .errors import DomainError
@@ -426,15 +428,9 @@ def _rand_capped_xos_table(rng: random.Random, n: int) -> ExplicitCost:
         clauses.append({b: _rand_frac(rng, 6, 2) for b in ground if rng.random() < 0.8})
     singles = [sum(c.get(b, ZERO) for c in clauses) for b in ground]
     cap = max(max(singles, default=ONE), ONE) * Fraction(rng.randint(2, 4), 2)
-
-    def xos_val(S):
-        return max(sum((c.get(b, ZERO) for b in S), ZERO) for c in clauses)
-
-    table = {}
-    for r in range(n + 1):
-        for S in itertools.combinations(ground, r):
-            table[S] = min(xos_val(S), cap)
-    return ExplicitCost(table, ground=ground)
+    xos = XosCost(ground, clauses).table()
+    return ExplicitCost({tuple(_labels_of(m, ground)): min(xos[m], cap) for m in range(1 << n)},
+                        ground=ground)
 
 
 _FAMILIES = {

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .costs import AdditiveCost
+from .costs import AdditiveCost, Table
 from .errors import DomainError
 from .instances import FiniteDistribution, Instance, support_union
 from .limits import guard, guard_bits
@@ -37,23 +37,28 @@ from .strategies import (
 ZERO = Fraction(0)
 
 
-def _integer_view(instance: Instance, costs, vectors: int):
+def _integer_view(instance: Instance, costs: Table, vectors: int):
     """The instance on integers, for the exhaustive kernels below.
 
+    `costs` holds monotone costs as ints at scale D (a `CostOracle.table()`).
     Returns (grid, boxes, costs, Dv, Dp).  `grid` is `support_union`; a
-    running max x is an index into it.  Values and `costs` are scaled by Dv,
-    the lcm of their denominators, and probabilities by Dp, the lcm over
-    every box.  Per box, in label order: its atoms as (grid index, p * Dp),
-    then over the grid E[(V - x)^+] * Dv * Dp and P(V <= x) * Dp.
+    running max x is an index into it.  Values and costs are scaled to Dv,
+    the lcm of D and the values' denominators, and probabilities by Dp, the
+    lcm over every box.  Per box, in label order: its atoms as
+    (grid index, p * Dp), then over the grid E[(V - x)^+] * Dv * Dp and
+    P(V <= x) * Dp.
 
     A quantity with k boxes still to open is held at scale Dv * Dp^k, so
     numbers compared with one another share one scale.  Raises
-    CapabilityError first if `vectors` grid vectors of them would exceed the
-    bit budget.
+    CapabilityError first if the rescaled costs or `vectors` grid vectors of
+    those quantities would exceed the bit budget.
     """
     grid = support_union(instance)
-    ints, Dv = scaled(grid + tuple(costs))
-    values, costs = ints[:len(grid)], ints[len(grid):]
+    values, Dv = scaled(grid, costs.D)
+    costs, up = costs.ints, Dv // costs.D
+    if up > 1:
+        guard_bits(len(costs), costs[-1].bit_length() + up.bit_length())
+        costs = [c * up for c in costs]
     probs, Dp = scaled([p for box in instance.boxes for _, p in box.atoms])
     guard_bits(vectors * len(grid), values[-1].bit_length() + instance.n * Dp.bit_length())
     index = {v: k for k, v in enumerate(grid)}
@@ -89,10 +94,9 @@ def optimal_adaptive(instance: Instance) -> tuple[Fraction, PolicyTree]:
     guard("adaptive", instance.n)
     labels = instance.labels
     n = instance.n
-    table = instance.cost.table()
-    grid, boxes, costs, Dv, Dp = _integer_view(instance, table, len(table))
+    grid, boxes, costs, Dv, Dp = _integer_view(instance, instance.cost.table(), 1 << n)
     lift = [Dp ** k for k in range(n + 1)]
-    full = len(table) - 1
+    full = (1 << n) - 1
     W: list = [None] * full + [[0] * len(grid)]
 
     def opening(mask: int, i: int) -> list[int]:
@@ -160,7 +164,7 @@ def _threshold_dp(instance: Instance,
     """Thresholds and utility of one (possibly partial) order: f_{n+1} = 0,
     then one `_backward_step` per box from the back."""
     n = len(sigma)
-    prefix = [instance.cost.eval(sigma[:i]) for i in range(n + 1)]
+    prefix = Table(*scaled([instance.cost.eval(sigma[:i]) for i in range(n + 1)]))
     grid, boxes, prefix, Dv, Dp = _integer_view(instance, prefix, 2)
     position = {b: i for i, b in enumerate(instance.labels)}
     f = [0] * len(grid)
@@ -196,8 +200,7 @@ def optimal_fixed_order(instance: Instance) -> tuple[FixedOrderThresholds, Fract
     """
     guard("order_enum", instance.n)
     n = instance.n
-    table = instance.cost.table()
-    grid, boxes, costs, Dv, Dp = _integer_view(instance, table, n + 1)
+    grid, boxes, costs, Dv, Dp = _integer_view(instance, instance.cost.table(), n + 1)
     lift = [Dp ** k for k in range(n + 2)]
     full = (1 << n) - 1
     best = None                     # (-utility, sigma, thresholds), least wins
@@ -233,8 +236,7 @@ def optimal_impulsive(instance: Instance) -> tuple[ImpulsiveStrategy, Fraction]:
         raise DomainError("impulsive strategies need a weighted-Bernoulli instance")
     guard("order_enum", instance.n)
     n = instance.n
-    table = instance.cost.table()
-    _, boxes, costs, Dv, Dp = _integer_view(instance, table, 1)
+    _, boxes, costs, Dv, Dp = _integer_view(instance, instance.cost.table(), 1)
     # per box (label, p_b v_b * Dv * Dp, p_b * Dp, q_b * Dp), read off the view
     # with its value atom last and P(V <= 0) = q_b
     boxes = [(b, excess[0], atoms[-1][1], low[0])

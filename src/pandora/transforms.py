@@ -249,21 +249,17 @@ def _budget_additive_decision(cost: CostOracle) -> ClassReport:
     not a heuristic.
     """
     table = cost.table()
-    budget = table[-1]
-    w = {b: table[1 << i] for i, b in enumerate(cost.ground)}
-
-    def canonical(S) -> Fraction:
-        return min(budget, sum((w[b] for b in S), ZERO))
-
-    ok, S = cost.matches(canonical)
+    canonical = BudgetAdditiveCost({b: table[1 << i] for i, b in enumerate(cost.ground)},
+                                   table[-1])
+    ok, S = cost.matches(canonical.eval)
     if ok:
         return ClassReport("budget_additive", True, None)
     combo = sorted(S)
     return ClassReport("budget_additive", False, {
         "S": combo,
-        "budget": str(budget),
-        "weights": {str(b): str(w[b]) for b in combo},
-        "min(B, sum w)": str(canonical(S)),
+        "budget": str(canonical.budget),
+        "weights": {str(b): str(canonical.per_box[b]) for b in combo},
+        "min(B, sum w)": str(canonical.eval(S)),
         "cost": str(cost.eval(S)),
     })
 

@@ -91,6 +91,28 @@ class TestSolve:
         assert code == 2
         assert data["error"]["type"] == "parse"
 
+    def test_huge_decimal_exponent_is_a_parse_error(self, tmp_path):
+        # an 11-character literal implying a 332-million-bit integer is refused
+        # before it is expanded; in a subprocess so that a regression times out
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import pandora
+
+        path = tmp_path / "huge.json"
+        path.write_text('{"boxes": [{"label": 1, "atoms": [["1", "1"]]}], "cost": {"kind": '
+                        '"additive", "per_box": {"1": "1e100000000"}}}')
+        src = str(Path(pandora.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-m", "pandora.cli", "solve", "-i", str(path)],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2, done.stderr
+        error = json.loads(done.stdout)["error"]
+        assert error["type"] == "parse"
+        assert "exponent above the budget" in error["message"]
+
     def test_missing_file(self, capsys, tmp_path):
         code, data = run_json(capsys, "solve", "-i", str(tmp_path / "nope.json"))
         assert code == 2

@@ -280,7 +280,28 @@ def _every_kind():
         "restriction": ProjectionCost([1, 3], {1: 1, 3: 3}, coverage),
         "counting": QueryCountingOracle(coverage),
         "xos_lift": xos_lift(explicit),
+        # the cases an integer kernel can get wrong
+        "budget_foreign_denominator": BudgetAdditiveCost([1, "1/2", 4, "3/4"], "7/3"),
+        "coverage_idle_element": CoverageCost([2, 4, 6], [("5/2", []), ("1/3", [4]),
+                                                          (2, [2, 6]), ("1/6", [2, 4, 6])]),
+        "coverage_no_boxes": CoverageCost([], [(3, [])]),
+        "projection_many_to_one": ProjectionCost([5, 7, 9, 11, 13],
+                                                 {5: 3, 7: 1, 9: 3, 11: 2, 13: 1}, coverage),
+        "tree_deep_chain": TreeClosureCost({1: 0, 2: 1, 3: 2, 4: 3, 5: 4, 6: 5, 7: 2, 8: 0},
+                                           {1: "1/2", 2: 3, 3: 0, 4: "2/3", 5: 1, 6: "1/4",
+                                            7: 2, 8: 5}),
+        "xos_sparse_clauses": XosCost([1, 2, 3, 4], [{}, {4: "5/3"}, {1: "1/2", 3: 1},
+                                                     {2: 1, 4: "1/3"}]),
     }
+
+
+def _assert_ints_are_eval(cost, table):
+    ints, D = table.ints, table.D
+    assert len(ints) == len(table) == 1 << cost.arity
+    assert all(type(v) is int for v in ints) and type(D) is int and D >= 1
+    for mask, value in enumerate(ints):
+        S = [b for i, b in enumerate(cost.ground) if mask >> i & 1]
+        assert Fraction(value, D) == table[mask] == cost.eval(S), S
 
 
 @pytest.mark.parametrize("kind", sorted(_every_kind()))
@@ -291,6 +312,7 @@ def test_table_is_eval_by_bitmask(kind):
     for S in _subsets(cost.ground):
         mask = sum(1 << cost.ground.index(b) for b in S)
         assert table[mask] == cost.eval(S), S
+    _assert_ints_are_eval(cost, table)
     assert cost.table() is table          # cached on the oracle
 
 
@@ -302,6 +324,22 @@ def test_table_is_eval_on_random_families(family):
         for mask, value in enumerate(table):
             S = [b for i, b in enumerate(cost.ground) if mask >> i & 1]
             assert value == cost.eval(S)
+        _assert_ints_are_eval(cost, table)
+
+
+def test_tabulating_makes_no_fraction_per_subset():
+    # the kernels build ints directly: Fractions only for the weights
+    import cProfile
+    import pstats
+
+    from pandora import validate_class
+
+    cost = random_instance("general_coverage", 12, 3).cost
+    profile = cProfile.Profile()
+    profile.runcall(validate_class, cost, "submodular")
+    made = sum(stat[1] for (path, _, name), stat in pstats.Stats(profile).stats.items()
+               if name == "__new__" and path.endswith("fractions.py"))
+    assert made <= 4 * cost.arity
 
 
 def test_table_above_the_validator_bound_is_refused():

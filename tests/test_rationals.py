@@ -50,6 +50,20 @@ class TestRat:
         with pytest.raises(ValueError, match="not a rational literal"):
             rat("1/0")
 
+    def test_decimal_exponents(self):
+        assert rat("1e3") == 1000
+        assert rat("2.5E-2") == Fraction(1, 40)
+        assert rat("1e1_0") == 10 ** 10
+
+    @pytest.mark.parametrize("literal", ["1e100000000", "-3.5E-100000000", "1e+9_000_000_000"])
+    def test_exponent_above_the_bit_budget_is_refused_unexpanded(self, literal):
+        # 10^k has about 3.32 k bits; these would need over SCALED_BITS
+        with pytest.raises(ValueError, match="exponent above the budget"):
+            rat(literal)
+
+    def test_scaled_from_a_given_denominator(self):
+        assert scaled([Fraction(1, 2), Fraction(1, 3)], 4) == ([6, 4], 12)
+
 
 class TestFmtAndParse:
     @pytest.mark.parametrize("x, s", [

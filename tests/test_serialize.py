@@ -240,9 +240,19 @@ class TestStrategyRoundTrips:
             strategy_to_json("just a string")
 
 
+# numeric strings as instance files write them: integers, p/q, decimals and
+# decimal exponents, small ones and ones too large for any kernel (those in
+# between are valid but slow to expand, so they are left out)
+numeric_strings = (
+    st.fractions().map(str)
+    | st.decimals().map(str)
+    | st.builds("{}e{}".format, st.integers(-99, 99),
+                st.integers(-12, 12) | st.integers(10 ** 9, 10 ** 30).map(lambda k: k * (-1) ** k))
+)
 # arbitrary JSON documents, including the non-finite floats json.loads accepts
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | numeric_strings,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
                                                                  max_size=4),
     max_leaves=12,

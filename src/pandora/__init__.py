@@ -51,7 +51,6 @@ from .hardness import (
 from .instances import (
     FiniteDistribution,
     Instance,
-    WeightedBernoulli,
     bernoulli,
     canonical,
     deterministic,
@@ -121,7 +120,7 @@ __all__ = [
     "ImpulsiveWithDummies", "Instance", "MarginalOracle",
     "MarginalUtilityContext", "PandoraError", "ParseError", "PolicyTree",
     "ProjectionCost", "QueryCountingOracle", "SuiteReport", "THEOREMS",
-    "TreeClosureCost", "VALIDATORS", "WeightedBernoulli", "XosCost",
+    "TreeClosureCost", "VALIDATORS", "XosCost",
     "adaptivity_gap", "bernoulli", "bernoullify", "budget_counterexample",
     "canonical", "check_preservation", "deterministic", "digest_instance",
     "discretize", "distinguish_experiment", "dummy_mixture", "dumps_instance",

@@ -142,7 +142,11 @@ def _cmd_transform(args) -> tuple[dict, int]:
         if step == "discretize":
             if args.epsilon is None:
                 raise DomainError("discretize needs --epsilon p/q")
-            params = DiscretizationParams.compute(current, rat(args.epsilon))
+            try:
+                epsilon = rat(args.epsilon)
+            except ValueError as exc:
+                raise ParseError(f"--epsilon: {exc}") from None
+            params = DiscretizationParams.compute(current, epsilon)
             params_json = {"epsilon": fmt(params.epsilon), "kappa": fmt(params.kappa)}
             current = discretize(current, params.epsilon)
         else:

@@ -490,7 +490,7 @@ def _chain_trial(rng: random.Random, t: int, failures: list) -> None:
         _fail(failures, t, "ordering-chain",
               f"u_M={u_m}, u_Y={u_y}, u_N={u_n} (r={r}, T={sorted(T)}, pi={order})", inst)
     p_open, _ = pq_of(strat, inst)
-    v_r = inst.bernoulli(r).value
+    v_r, _ = inst.bernoulli(r)
     if u_m != u_n - p_open * v_r:
         _fail(failures, t, "uM-identity",
               f"u_M={u_m} != u_N - p*v_r = {u_n - p_open * v_r}", inst)

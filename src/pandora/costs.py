@@ -394,17 +394,20 @@ class TreeClosureCost(CostOracle):
         if rat(node_costs.get(0, 0)) != 0:
             raise DomainError("the root's cost must be 0")
         self.node_costs = costs
-        # reject cycles / dangling parents by walking every node to the root
+        # reject cycles / dangling parents by walking every node towards the
+        # root; a walk stops at the first node already known to reach it
+        reaches_root = {0}
         for b in nodes:
             seen = set()
             cur = b
-            while cur != 0:
+            while cur not in reaches_root:
                 if cur in seen:
                     raise DomainError(f"cycle through node {cur}")
                 seen.add(cur)
                 if cur not in self.parent:
                     raise DomainError(f"node {cur} is disconnected from the root")
                 cur = self.parent[cur]
+            reaches_root |= seen
 
     def closure(self, S: Iterable[int]) -> BoxSet:
         """Union of root paths of the nodes in S; always contains the root."""

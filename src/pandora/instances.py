@@ -2,14 +2,15 @@
 
 An instance bundles n boxes (independent finite-support distributions) with
 one cost oracle; box *labels* are the oracle's ground set, 1..n by default.
-Everything is exact rationals.  The canonical corpus instances live here so
-solvers and tests can ask for them by name.
+`FiniteDistribution` is the only box type: a weighted-Bernoulli box is one
+whose `is_bernoulli()` holds, and its pair (v, p) is read in place from its
+last atom.  Everything is exact rationals.  The canonical corpus instances
+live here so solvers and tests can ask for them by name.
 """
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -94,44 +95,23 @@ class FiniteDistribution:
     def is_constant_zero(self) -> bool:
         return self.atoms == ((ZERO, ONE),)
 
-    def bernoulli_form(self) -> "WeightedBernoulli | None":
-        """The (v, p) view when this is {v w.p. p, 0 w.p. 1-p} with v > 0; else None."""
-        if len(self.atoms) == 1:
-            v, _ = self.atoms[0]
-            return WeightedBernoulli(v, ONE) if v > 0 else None
-        if len(self.atoms) == 2 and self.atoms[0][0] == 0:
-            v, p = self.atoms[1]
-            return WeightedBernoulli(v, p)
-        return None
-
-
-@dataclass(frozen=True)
-class WeightedBernoulli:
-    """Value v > 0 with probability p in (0, 1], zero otherwise."""
-
-    value: Fraction
-    prob: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "value", rat(self.value))
-        object.__setattr__(self, "prob", rat(self.prob))
-        if self.value <= 0:
-            raise DomainError(f"weighted Bernoulli needs v > 0, got {self.value}")
-        if not 0 < self.prob <= 1:
-            raise DomainError(f"weighted Bernoulli needs p in (0,1], got {self.prob}")
-
-    @property
-    def q(self) -> Fraction:
-        return 1 - self.prob
-
-    def distribution(self) -> FiniteDistribution:
-        if self.prob == 1:
-            return FiniteDistribution([(self.value, ONE)])
-        return FiniteDistribution([(ZERO, 1 - self.prob), (self.value, self.prob)])
+    def is_bernoulli(self) -> bool:
+        """True for {v w.p. p, 0 w.p. 1-p} with v > 0 and p in (0, 1]: the atoms
+        are ((v, 1),) or ((0, 1-p), (v, p)), so the pair (v, p) is atoms[-1]."""
+        atoms = self.atoms
+        if len(atoms) == 1:
+            return atoms[0][0] > 0
+        return len(atoms) == 2 and atoms[0][0] == 0
 
 
 def bernoulli(value, prob) -> FiniteDistribution:
-    return WeightedBernoulli(rat(value), rat(prob)).distribution()
+    """The weighted-Bernoulli box: value v > 0 with probability p in (0, 1], zero otherwise."""
+    v, p = rat(value), rat(prob)
+    if v <= 0:
+        raise DomainError(f"weighted Bernoulli needs v > 0, got {v}")
+    if not 0 < p <= 1:
+        raise DomainError(f"weighted Bernoulli needs p in (0,1], got {p}")
+    return FiniteDistribution([(v, ONE)] if p == 1 else [(ZERO, 1 - p), (v, p)])
 
 
 def deterministic(value) -> FiniteDistribution:
@@ -182,13 +162,14 @@ class Instance:
             raise DomainError(f"no box labelled {label}; labels are {self.labels}") from None
 
     def is_bernoulli(self) -> bool:
-        return all(b.bernoulli_form() is not None for b in self.boxes)
+        return all(b.is_bernoulli() for b in self.boxes)
 
-    def bernoulli(self, label: int) -> WeightedBernoulli:
-        wb = self.box(label).bernoulli_form()
-        if wb is None:
+    def bernoulli(self, label: int) -> tuple[Fraction, Fraction]:
+        """(v, p) of a weighted-Bernoulli box."""
+        box = self.box(label)
+        if not box.is_bernoulli():
             raise DomainError(f"box {label} is not weighted Bernoulli")
-        return wb
+        return box.atoms[-1]
 
     def __repr__(self) -> str:
         return f"Instance(n={self.n}, cost={type(self.cost).__name__}, class={self.cost_class})"

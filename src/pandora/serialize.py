@@ -228,11 +228,16 @@ def save_instance(instance: Instance, path) -> None:
 
 
 def load_instance(source) -> Instance:
-    """Load from a path or an open text file."""
-    if hasattr(source, "read"):
-        return loads_instance(source.read())
-    with open(source) as fh:
-        return loads_instance(fh.read())
+    """Load from a path or an open text file; undecodable bytes are a ParseError."""
+    try:
+        if hasattr(source, "read"):
+            text = source.read()
+        else:
+            with open(source) as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid {exc.encoding} text: {exc.reason} at byte {exc.start}") from exc
+    return loads_instance(text)
 
 
 def digest_instance(instance: Instance) -> str:

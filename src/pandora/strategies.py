@@ -4,13 +4,15 @@ Three nested classes: impulsive tuples (Bernoulli instances; halt on the
 first non-zero value), fixed orders with halting thresholds, and fully
 adaptive policy trees.  On top of the impulsive layer sit the marginal
 utilities u_N / u_Y / u_M and dummy slots -- the combinatorial machinery
-behind the impulsive-optimality argument for submodular costs.
+behind the impulsive-optimality argument for submodular costs.  The four
+impulsive functions share one slot walk, which checks the instance and the
+boxes once and reads each box's (v, p) in place.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .costs import marginal_cost
 from .errors import DomainError
@@ -62,10 +64,6 @@ class ImpulsiveWithDummies:
     @property
     def order(self) -> tuple[int, ...]:
         return self.base.order
-
-    def slots(self) -> list[tuple[int, bool]]:
-        """(box, is_opened) per slot, in order."""
-        return [(b, b in self.opened) for b in self.base.order]
 
 
 def _as_dummies(strategy) -> ImpulsiveWithDummies:
@@ -141,16 +139,24 @@ class MarginalUtilityContext:
         object.__setattr__(self, "T", frozenset(self.T))
 
 
-def _require_bernoulli(instance: Instance) -> None:
+def _slots(instance: Instance, strategy) -> list[tuple[int, bool, Fraction, Fraction]]:
+    """(box, opened, v, p) per slot of an impulsive strategy, in order.
+
+    Refuses non-Bernoulli instances and slots naming unknown boxes; a plain
+    strategy has every slot opened.
+    """
     if not instance.is_bernoulli():
         raise DomainError("this operation needs a weighted-Bernoulli instance")
-
-
-def _check_slots(instance: Instance, order: Sequence[int]) -> None:
-    known = set(instance.labels)
-    for b in order:
-        if b not in known:
+    s = _as_dummies(strategy)
+    boxes = dict(zip(instance.labels, instance.boxes))
+    slots = []
+    for b in s.order:
+        box = boxes.get(b)
+        if box is None:
             raise DomainError(f"strategy mentions unknown box {b}")
+        v, p = box.atoms[-1]
+        slots.append((b, b in s.opened, v, p))
+    return slots
 
 
 def pq_of(strategy, instance: Instance) -> tuple[Fraction, Fraction]:
@@ -159,24 +165,19 @@ def pq_of(strategy, instance: Instance) -> tuple[Fraction, Fraction]:
     p is the probability that some *opened* slot triggers the halt with a
     non-zero value: sum over opened slots j of (prod of q over all earlier
     slots) * p_j.  q is the probability every slot passes: prod of q_i over
-    all slots.  Without dummies p + q = 1 (asserted); with dummies p can
+    all slots.  Without dummies p + q = 1 (checked); with dummies p can
     fall short of 1 - q because a dummy may halt the run first.
     """
-    _require_bernoulli(instance)
-    s = _as_dummies(strategy)
-    _check_slots(instance, s.order)
-    prefix = ONE
+    slots = _slots(instance, strategy)
     p = ZERO
-    q_all = ONE
-    for box, is_open in s.slots():
-        wb = instance.bernoulli(box)
+    q = ONE
+    for _, is_open, _, p_j in slots:
         if is_open:
-            p += prefix * wb.prob
-        prefix *= wb.q
-        q_all *= wb.q
-    if s.opened == set(s.order):
-        assert p + q_all == 1, "p/q cross-check failed on a dummy-free strategy"
-    return p, q_all
+            p += q * p_j
+        q *= 1 - p_j
+    if p + q != 1 and all(is_open for _, is_open, _, _ in slots):
+        raise AssertionError("p/q cross-check failed on a dummy-free strategy")
+    return p, q
 
 
 _KINDS = ("N", "Y", "M")
@@ -196,24 +197,19 @@ def marginal_utility(kind: str, strategy, ctx: MarginalUtilityContext,
     """
     if kind not in _KINDS:
         raise DomainError(f"kind must be one of {_KINDS}, got {kind!r}")
-    _require_bernoulli(instance)
-    s = _as_dummies(strategy)
-    _check_slots(instance, s.order)
-    if ctx.root in set(s.order):
+    slots = _slots(instance, strategy)
+    if any(box == ctx.root for box, _, _, _ in slots):
         raise DomainError(f"root box {ctx.root} appears in the strategy")
-    if ctx.T & s.opened:
-        raise DomainError(
-            f"conditioning set overlaps opened boxes on {sorted(ctx.T & s.opened)}"
-        )
-    v_r = instance.bernoulli(ctx.root).value
+    overlap = ctx.T & {box for box, is_open, _, _ in slots if is_open}
+    if overlap:
+        raise DomainError(f"conditioning set overlaps opened boxes on {sorted(overlap)}")
+    v_r, _ = instance.bernoulli(ctx.root)
     base = {ctx.root} | ctx.T
     prefix = ONE
     total = ZERO
     opened_before: set[int] = set()
-    for box, is_open in s.slots():
-        wb = instance.bernoulli(box)
+    for box, is_open, v, p in slots:
         if is_open:
-            v = wb.value
             if kind == "N":
                 gain = v
             elif kind == "Y":
@@ -221,9 +217,9 @@ def marginal_utility(kind: str, strategy, ctx: MarginalUtilityContext,
             else:
                 gain = v - v_r
             cost = marginal_cost(instance.cost, {box}, base | opened_before)
-            total += prefix * (wb.prob * gain - cost)
+            total += prefix * (p * gain - cost)
             opened_before.add(box)
-        prefix *= wb.q
+        prefix *= 1 - p
     return total
 
 
@@ -235,31 +231,22 @@ def dummy_mixture(strategy, instance: Instance) -> list[tuple[ImpulsiveStrategy,
     or all opened boxes when no dummy fires.  Equal prefixes are merged, so
     the result is a bona fide distribution (probabilities sum to 1).
     """
-    _require_bernoulli(instance)
-    s = _as_dummies(strategy)
-    _check_slots(instance, s.order)
     outcomes: dict[tuple[int, ...], Fraction] = {}
-    order_seen: list[tuple[int, ...]] = []
 
     def put(prefix_boxes: tuple[int, ...], prob: Fraction) -> None:
-        if prob == 0:
-            return
-        if prefix_boxes not in outcomes:
-            outcomes[prefix_boxes] = ZERO
-            order_seen.append(prefix_boxes)
-        outcomes[prefix_boxes] += prob
+        if prob != 0:
+            outcomes[prefix_boxes] = outcomes.get(prefix_boxes, ZERO) + prob
 
     dummy_pass = ONE
     opened: list[int] = []
-    for box, is_open in s.slots():
+    for box, is_open, _, p in _slots(instance, strategy):
         if is_open:
             opened.append(box)
         else:
-            wb = instance.bernoulli(box)
-            put(tuple(opened), dummy_pass * wb.prob)
-            dummy_pass *= wb.q
+            put(tuple(opened), dummy_pass * p)
+            dummy_pass *= 1 - p
     put(tuple(opened), dummy_pass)
-    return [(ImpulsiveStrategy(t), outcomes[t]) for t in order_seen]
+    return [(ImpulsiveStrategy(t), prob) for t, prob in outcomes.items()]
 
 
 def eval_impulsive(instance: Instance, strategy) -> Fraction:
@@ -269,20 +256,17 @@ def eval_impulsive(instance: Instance, strategy) -> Fraction:
     v_j and pays c(first j boxes); the all-zeros outcome pays for the whole
     tuple and collects nothing.
     """
-    _require_bernoulli(instance)
     if isinstance(strategy, ImpulsiveWithDummies):
         raise DomainError("resolve dummies via dummy_mixture before evaluating")
-    s = _as_dummies(strategy)
-    order = s.order
-    _check_slots(instance, order)
     cost = instance.cost
     prefix = ONE
     total = ZERO
-    for j, box in enumerate(order):
-        wb = instance.bernoulli(box)
-        total += prefix * wb.prob * (wb.value - cost.eval(order[: j + 1]))
-        prefix *= wb.q
-    total -= prefix * cost.eval(order)
+    opened: list[int] = []
+    for box, _, v, p in _slots(instance, strategy):
+        opened.append(box)
+        total += prefix * p * (v - cost.eval(opened))
+        prefix *= 1 - p
+    total -= prefix * cost.eval(opened)
     return total
 
 

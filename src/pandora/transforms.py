@@ -23,7 +23,7 @@ from .costs import (
     XosCost,
 )
 from .errors import DomainError
-from .instances import FiniteDistribution, Instance, WeightedBernoulli
+from .instances import FiniteDistribution, Instance, bernoulli
 from .rationals import rat
 from .solvers import _tail_root, _threshold_dp
 from .strategies import FixedOrderThresholds, ImpulsiveStrategy, eval_fixed_order, eval_impulsive
@@ -157,7 +157,7 @@ def bernoullify(instance: Instance) -> tuple[Instance, BernoullificationMap]:
             pairs.append((i, j))
             values.append(v)
             weights.append(p / below)
-            boxes.append(WeightedBernoulli(v, p / below).distribution())
+            boxes.append(bernoulli(v, p / below))
             label_map[len(pairs)] = i
     lifted_ground = tuple(range(1, len(pairs) + 1))
     cost = ProjectionCost(lifted_ground, label_map, instance.cost)

@@ -113,6 +113,13 @@ class TestSolve:
         assert error["type"] == "parse"
         assert "exponent above the budget" in error["message"]
 
+    def test_non_utf8_file_is_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, data = run_json(capsys, "solve", "-i", str(path))
+        assert code == 2
+        assert data["error"]["type"] == "parse"
+
     def test_missing_file(self, capsys, tmp_path):
         code, data = run_json(capsys, "solve", "-i", str(tmp_path / "nope.json"))
         assert code == 2
@@ -306,6 +313,14 @@ class TestTransform:
                               "-i", example1_path)
         assert code == 2
         assert "epsilon" in data["error"]["message"]
+
+    @pytest.mark.parametrize("epsilon", ["abc", "1/0", "1e100000000"])
+    def test_unparsable_epsilon_is_a_parse_error(self, capsys, example1_path, epsilon):
+        code, data = run_json(capsys, "transform", "discretize",
+                              "--epsilon", epsilon, "-i", example1_path)
+        assert code == 2
+        assert data["error"]["type"] == "parse"
+        assert "--epsilon" in data["error"]["message"]
 
     def test_discretize(self, capsys, example1_path):
         code, data = run_json(capsys, "transform", "discretize",

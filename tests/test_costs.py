@@ -149,10 +149,35 @@ class TestTreeClosure:
     def test_cycle_rejected(self):
         with pytest.raises(DomainError, match="cycle"):
             TreeClosureCost({1: 2, 2: 1}, {})
+        # box 1 reaches the root first; the walk from 2 must still find 2 -> 3 -> 2
+        with pytest.raises(DomainError, match="cycle through node 2"):
+            TreeClosureCost({1: 0, 2: 3, 3: 2}, {})
+        with pytest.raises(DomainError, match="cycle through node 2"):
+            TreeClosureCost({1: 2, 2: 3, 3: 2}, {})
 
     def test_dangling_parent_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="node 7 is disconnected from the root"):
             TreeClosureCost({1: 7}, {})
+        with pytest.raises(DomainError, match="node 9 is disconnected"):
+            TreeClosureCost({1: 0, 2: 1, 3: 2, 4: 9}, {})
+
+    def test_long_chain_is_validated_in_one_pass(self):
+        # each walk stops at a node known to reach the root, so a 100,000-node
+        # chain is linear work; in a subprocess so that a regression times out
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import pandora
+
+        code = ("from pandora import TreeClosureCost\n"
+                "chain = TreeClosureCost({b: b - 1 for b in range(1, 100_001)}, {100_000: 1})\n"
+                "assert chain.arity == 100_000\n")
+        src = str(Path(pandora.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=10, env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
 
     def test_root_cost_must_vanish(self):
         with pytest.raises(DomainError, match="root"):

@@ -9,7 +9,6 @@ from pandora import (
     DomainError,
     FiniteDistribution,
     Instance,
-    WeightedBernoulli,
     bernoulli,
     canonical,
     deterministic,
@@ -59,20 +58,26 @@ class TestFiniteDistribution:
         assert d.prob_of(2) == rat("2/3")
         assert d.prob_of(7) == 0
 
-    def test_bernoulli_form(self):
-        assert bernoulli(5, "1/3").bernoulli_form() == WeightedBernoulli(5, rat("1/3"))
-        assert deterministic(4).bernoulli_form() == WeightedBernoulli(4, 1)
-        assert deterministic(0).bernoulli_form() is None
+    def test_is_bernoulli(self):
+        box = bernoulli(5, "1/3")
+        assert box.is_bernoulli() and box.atoms[-1] == (5, rat("1/3"))
+        assert deterministic(4).is_bernoulli()                    # {v: 1} is (v, 1)
+        assert not deterministic(0).is_bernoulli()
+        assert not FiniteDistribution({1: "1/2", 2: "1/2"}).is_bernoulli()  # lower atom nonzero
         three = FiniteDistribution({0: "1/3", 1: "1/3", 2: "1/3"})
-        assert three.bernoulli_form() is None
+        assert not three.is_bernoulli()
 
 
 def test_weighted_bernoulli_validation():
-    with pytest.raises(DomainError):
-        WeightedBernoulli(0, Fraction(1, 2))
-    with pytest.raises(DomainError):
-        WeightedBernoulli(1, Fraction(3, 2))
-    assert WeightedBernoulli(1, Fraction(1, 2)).q == Fraction(1, 2)
+    with pytest.raises(DomainError, match="v > 0"):
+        bernoulli(0, "1/2")
+    with pytest.raises(DomainError, match="p in"):
+        bernoulli(1, "3/2")
+    with pytest.raises(DomainError, match="p in"):
+        bernoulli(1, 0)
+    # the zero atom carries q = 1 - p; p = 1 leaves the single atom {v: 1}
+    assert bernoulli(1, Fraction(1, 2)).atoms == ((0, Fraction(1, 2)), (1, Fraction(1, 2)))
+    assert bernoulli(3, 1) == deterministic(3)
 
 
 def test_max_distribution_law():
@@ -106,9 +111,10 @@ class TestInstance:
     def test_bernoulli_view(self):
         inst = unit_demand_pair()
         assert inst.is_bernoulli()
-        assert inst.bernoulli(2).value == 2
+        assert inst.bernoulli(2) == (2, rat("1/3"))
+        assert Instance([deterministic(4)], AdditiveCost([1])).bernoulli(1) == (4, 1)
         assert not subadditive4().is_bernoulli()
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="not weighted Bernoulli"):
             subadditive4().bernoulli(1)
 
 
@@ -143,8 +149,7 @@ def test_hardness_instance_variants():
     base = hardness_instance(6, "baseline", alpha=4, beta=1)
     assert base.n == 6
     assert base.cost_class == "matroid_rank"
-    wb = base.bernoulli(1)
-    assert wb.value == 5 and wb.prob == rat("1/4")     # M = 5*beta, p = 1/alpha
+    assert base.bernoulli(1) == (5, rat("1/4"))     # M = 5*beta, p = 1/alpha
     planted = hardness_instance(6, "planted", alpha=4, beta=1, R={2, 3, 4, 5})
     assert planted.cost.R == frozenset({2, 3, 4, 5})
     with pytest.raises(DomainError):

@@ -49,7 +49,7 @@ def test_dummies_opened_must_be_subset():
     with pytest.raises(DomainError, match="subset"):
         ImpulsiveWithDummies(base, {4})
     s = ImpulsiveWithDummies(base, {1, 3})
-    assert s.slots() == [(1, True), (2, False), (3, True)]
+    assert s.opened == frozenset({1, 3})                  # slot 2 is a dummy
     assert s.order == (1, 2, 3)
 
 
@@ -125,7 +125,8 @@ class TestMarginalUtility:
         u_m = marginal_utility("M", order, ctx, inst)
         assert u_m <= u_y <= u_n
         p, _ = pq_of(order, inst)
-        assert u_m == u_n - p * inst.bernoulli(ctx.root).value
+        v_r, _ = inst.bernoulli(ctx.root)
+        assert u_m == u_n - p * v_r
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)
@@ -156,6 +157,21 @@ def test_dummy_mixture_is_a_distribution():
     # no dummies: the mixture is the strategy itself
     plain = dummy_mixture(base, inst)
     assert plain == [(base, Fraction(1))]
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst, s: pq_of(s, inst),
+    lambda inst, s: marginal_utility("N", s, MarginalUtilityContext(2), inst),
+    lambda inst, s: dummy_mixture(s, inst),
+    lambda inst, s: eval_impulsive(inst, s),
+], ids=["pq_of", "marginal_utility", "dummy_mixture", "eval_impulsive"])
+def test_every_impulsive_function_checks_its_slots(call):
+    with pytest.raises(DomainError, match="needs a weighted-Bernoulli instance"):
+        call(subadditive4(), (1,))
+    with pytest.raises(DomainError, match="unknown box 7"):
+        call(unit_demand_pair(), (7,))
+    with pytest.raises(DomainError, match="not an impulsive strategy"):
+        call(unit_demand_pair(), "1")
 
 
 class TestEvalImpulsive:

@@ -144,6 +144,11 @@ VALIDATORS = {
 }
 
 
+def guard_kind(cls: str) -> str:
+    """The `limits.guard` kind that caps validating `cls`."""
+    return "gross_substitutes" if cls == "gross_substitutes" else "validator"
+
+
 def validate_class(oracle: CostOracle, cls: str) -> ClassReport:
     """Decide class membership exhaustively.
 
@@ -155,7 +160,7 @@ def validate_class(oracle: CostOracle, cls: str) -> ClassReport:
     check = VALIDATORS.get(cls)
     if check is None:
         raise DomainError(f"unknown cost class {cls!r}; choose from {sorted(VALIDATORS)}")
-    guard("gross_substitutes" if cls == "gross_substitutes" else "validator", oracle.arity)
+    guard(guard_kind(cls), oracle.arity)
     table = oracle.table()
     witness = check(oracle.ground, table.ints, table.D)
     return ClassReport(cls=cls, passed=witness is None, witness=witness)

@@ -16,7 +16,7 @@ import time
 
 from . import corpus as corpus_mod
 from . import hardness as hardness_mod
-from .classes import VALIDATORS, validate_class
+from .classes import VALIDATORS, guard_kind, validate_class
 from .costs import QueryCountingOracle
 from .errors import CapabilityError, DomainError, ParseError
 from .instances import Instance
@@ -42,13 +42,18 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 
-_SOLVE_CLASSES = ("adaptive", "fixed_order", "impulsive", "weitzman")
+# the size guards each solver applies to the box count; impulsive refuses a
+# non-Bernoulli instance before its guard runs, so its file is read whole
+_SOLVE_GUARDS = {"adaptive": ("adaptive",), "fixed_order": ("order_enum",),
+                 "impulsive": (), "weitzman": ()}
 
 
-def _read_instance(path: str) -> Instance:
+def _read_instance(path: str, guards: tuple[str, ...] = ()) -> Instance:
+    """Load an instance, refused by the `limits.guard` kinds the command will
+    apply once it has more boxes than they allow (see instance_from_json)."""
     if path == "-":
-        return loads_instance(sys.stdin.read())
-    return load_instance(path)
+        return loads_instance(sys.stdin.read(), guards=guards)
+    return load_instance(path, guards=guards)
 
 
 def _counted_copy(instance: Instance):
@@ -61,7 +66,7 @@ def _counted_copy(instance: Instance):
 # ---------------------------------------------------------------------------
 
 def _cmd_solve(args) -> tuple[dict, int]:
-    instance = _read_instance(args.instance)
+    instance = _read_instance(args.instance, _SOLVE_GUARDS[args.cls])
     digest = digest_instance(instance)
     # weitzman dispatches on the concrete cost type, so it keeps the bare instance
     run_on, counter = (instance, None) if args.cls == "weitzman" else _counted_copy(instance)
@@ -88,7 +93,7 @@ def _cmd_solve(args) -> tuple[dict, int]:
 
 
 def _cmd_gap(args) -> tuple[dict, int]:
-    instance = _read_instance(args.instance)
+    instance = _read_instance(args.instance, ("adaptive", "order_enum"))
     digest = digest_instance(instance)
     run_on, counter = _counted_copy(instance)
     t0 = time.perf_counter()
@@ -115,7 +120,7 @@ def _cmd_gap(args) -> tuple[dict, int]:
 
 
 def _cmd_validate(args) -> tuple[dict, int]:
-    instance = _read_instance(args.instance)
+    instance = _read_instance(args.instance, (guard_kind(args.cls),))
     digest = digest_instance(instance)
     t0 = time.perf_counter()
     report = validate_class(instance.cost, args.cls)
@@ -258,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="aligned text output instead of JSON")
 
     p = sub.add_parser("solve", help="run one solver on an instance")
-    p.add_argument("--class", dest="cls", choices=_SOLVE_CLASSES,
+    p.add_argument("--class", dest="cls", choices=tuple(_SOLVE_GUARDS),
                    default="adaptive")
     add_common(p)
     p.set_defaults(handler=_cmd_solve)

@@ -148,17 +148,6 @@ def _cost_cap(params: HardnessParams, s: int, variant: str) -> int:
     return m
 
 
-def _float_utility(params: HardnessParams, s: int, k: int) -> float:
-    """u(s) in floats via libm's expm1/log1p, k = min(s, m): the one float form,
-    behind symmetric_impulsive_utility and verify_family's scan."""
-    if s == 0:
-        return 0.0
-    lq = math.log1p(-1.0 / params.alpha)
-    hit = -math.expm1(s * lq)        # 1 - q^s
-    cost = -math.expm1(k * lq) * params.alpha
-    return params.M * hit - cost
-
-
 def symmetric_impulsive_utility(params: HardnessParams, s: int,
                                 variant: str = "baseline") -> float:
     """Expected utility of impulsively opening s symmetric boxes, closed form.
@@ -171,9 +160,16 @@ def symmetric_impulsive_utility(params: HardnessParams, s: int,
         u(s) = M * (1 - q^s) - (1 - q^k)/p.
 
     Evaluated in floats via expm1/log1p (exact rational twin:
-    symmetric_impulsive_utility_exact).
+    symmetric_impulsive_utility_exact); verify_family's scan repeats these
+    float operations.
     """
-    return _float_utility(params, s, min(s, _cost_cap(params, s, variant)))
+    k = min(s, _cost_cap(params, s, variant))
+    if s == 0:
+        return 0.0
+    lq = math.log1p(-1.0 / params.alpha)
+    hit = -math.expm1(s * lq)        # 1 - q^s
+    cost = -math.expm1(k * lq) * params.alpha
+    return params.M * hit - cost
 
 
 def symmetric_impulsive_utility_exact(params: HardnessParams, s: int,
@@ -233,7 +229,11 @@ def verify_family(n: int, *, alpha: int | None = None,
     }
     in_regime = all(regime.values())
 
-    u = [_float_utility(params, size, min(size, a)) for size in range(n + 1)]
+    # symmetric_impulsive_utility's float operations, h = 1 - q^s, in one pass
+    lq = math.log1p(-1.0 / a)
+    capped = -math.expm1(a * lq) * a
+    u = [0.0, *(M * h - h * a for h in (-math.expm1(size * lq) for size in range(1, a)))]
+    u.extend(M * -math.expm1(size * lq) - capped for size in range(a, n + 1))
     argmax = max(range(1, n + 1), key=u.__getitem__)
     planted = symmetric_impulsive_utility(params, a, "planted_subsetR")
     lower = 5 * b * (1 - 1 / math.e) - b
@@ -311,6 +311,21 @@ def hypergeometric_tail(n: int, alpha: int, beta: int) -> Fraction:
     return Fraction(hits, total)
 
 
+def _alpha_subset(rng: random.Random, n: int, k: int) -> frozenset:
+    """frozenset(rng.sample(range(1, n + 1), k)) from the same words: above
+    sample's set-branch threshold its redraw loop runs here inline, without a
+    call per draw; at or below it, sample itself runs."""
+    setsize = 21 if k <= 5 else 21 + 4 ** math.ceil(math.log(k * 3, 4))
+    if n <= setsize:
+        return frozenset(rng.sample(range(1, n + 1), k))
+    draw, bits, chosen = rng.getrandbits, n.bit_length(), set()
+    while len(chosen) < k:
+        r = draw(bits) + 1      # randbelow(n) rejects r > n, sample a repeat
+        if r <= n:
+            chosen.add(r)
+    return frozenset(chosen)
+
+
 @dataclass(frozen=True)
 class DistinguishTrial:
     """One replay: the hidden R, the query path, and both oracles' answers."""
@@ -385,7 +400,10 @@ def distinguish_experiment(n: int, algorithm="random_uniform_alpha_sets",
     check).  Every trial runs through replay_trial, which enforces the query
     count against c_R (AssertionError on a miscount), so a returned report
     always has query_count_ok.  n is capped at MAX_N, and the builtin
-    algorithm's budget * alpha at MAX_QUERY_LABELS.
+    algorithm's budget * alpha at MAX_QUERY_LABELS.  Each seed's report
+    depends on every drawn set (the fixed sets from the master generator, R
+    and the queries from the trial's) equalling rng.sample(range(1, n + 1),
+    alpha) as a set, with the same words consumed; _alpha_subset keeps both.
     """
     if not 1 <= budget <= MAX_BUDGET:
         raise DomainError(f"budget must be in [1, {MAX_BUDGET}], got {budget}")
@@ -420,7 +438,7 @@ def distinguish_experiment(n: int, algorithm="random_uniform_alpha_sets",
 
     master = random.Random(seed)
     if declared is None:
-        fixed_sets = [frozenset(master.sample(labels, a)) for _ in range(stats_sets)]
+        fixed_sets = [_alpha_subset(master, n, a) for _ in range(stats_sets)]
     else:
         fixed_sets = [S for S in declared[:per_trial] if len(S) == a]
     fixed_hits = [0] * len(fixed_sets)
@@ -430,9 +448,9 @@ def distinguish_experiment(n: int, algorithm="random_uniform_alpha_sets",
     for t in range(trials):
         trial_seed = master.getrandbits(64)
         rng = random.Random(trial_seed)
-        R = frozenset(rng.sample(labels, a))
+        R = _alpha_subset(rng, n, a)
         if declared is None:
-            queries = [frozenset(rng.sample(labels, a)) for _ in range(per_trial)]
+            queries = [_alpha_subset(rng, n, a) for _ in range(per_trial)]
         else:
             queries = declared[:per_trial]
         trial = replay_trial(n, a, b, R, queries, seed=trial_seed)

@@ -14,7 +14,7 @@ import warnings
 from fractions import Fraction
 from typing import IO
 
-from .classes import VALIDATORS, validate_class
+from .classes import VALIDATORS, guard_kind, validate_class
 from .costs import (
     AdditiveCost,
     BudgetAdditiveCost,
@@ -28,7 +28,7 @@ from .costs import (
 )
 from .errors import ParseError
 from .instances import FiniteDistribution, Instance
-from .limits import bound
+from .limits import bound, guard
 from .rationals import fmt, parse_extended, rat
 from .strategies import (
     FixedOrderThresholds,
@@ -148,7 +148,21 @@ def _preview(labels: list) -> str:
     return str(labels) if len(labels) <= 16 else f"{labels[:8]}...{labels[-8:]} ({len(labels)} labels)"
 
 
-def instance_from_json(data: dict) -> Instance:
+def _box_label(item) -> int:
+    if not isinstance(item, dict):
+        raise ParseError(f"box must be an object, got {type(item).__name__}")
+    label = _require(item, "label", "box")
+    if not isinstance(label, int) or isinstance(label, bool):
+        raise ParseError(f"box label must be an integer, got {label!r:.40}")
+    return label
+
+
+def instance_from_json(data: dict, *, guards: tuple[str, ...] = ()) -> Instance:
+    """`guards` are the `limits.guard` kinds the caller applies to the box
+    count.  Once more boxes than the least of their bounds are built, not
+    counting constant-zero ones (dropped below), the rest are only checked
+    for their labels and the guards run, in order, on the file's box count
+    less the constant-zero boxes seen."""
     if not isinstance(data, dict):
         raise ParseError(f"instance must be an object, got {type(data).__name__}")
     if data.get("format", FORMAT) != FORMAT:
@@ -158,25 +172,29 @@ def instance_from_json(data: dict) -> Instance:
     if not isinstance(items, list):
         raise ParseError(f"instance: boxes must be a list, got {type(items).__name__}")
     cost = cost_from_json(cost_data, boxes=len(items))
-    entries = []
+    cap = min(map(bound, guards), default=len(items))
+    entries, zeros = [], 0
     for item in items:
-        if not isinstance(item, dict):
-            raise ParseError(f"box must be an object, got {type(item).__name__}")
-        label = _require(item, "label", "box")
-        if not isinstance(label, int) or isinstance(label, bool):
-            raise ParseError(f"box label must be an integer, got {label!r:.40}")
+        label = _box_label(item)
         try:
             box = FiniteDistribution([(rat(v), rat(p))
                                       for v, p in _require(item, "atoms", "box")])
         except (ValueError, TypeError) as exc:
             raise ParseError(f"box {label}: {exc}") from exc
         entries.append((label, box))
-    entries.sort(key=lambda pair: pair[0])
-    labels = [label for label, _ in entries]
+        zeros += box.is_constant_zero()
+        if len(entries) - zeros > cap:
+            break
+    labels = sorted([label for label, _ in entries]
+                    + [_box_label(item) for item in items[len(entries):]])
     if labels != list(cost.ground):
         raise ParseError(f"box labels {_preview(labels)} do not match "
                          f"cost ground {_preview(list(cost.ground))}")
+    if len(entries) - zeros > cap:
+        for kind in guards:
+            guard(kind, len(items) - zeros)
 
+    entries.sort(key=lambda pair: pair[0])
     kept = [(label, box) for label, box in entries if not box.is_constant_zero()]
     if len(kept) < len(entries):
         dropped = sorted(set(labels) - {label for label, _ in kept})
@@ -188,7 +206,7 @@ def instance_from_json(data: dict) -> Instance:
     if cls is not None and not isinstance(cls, str):
         raise ParseError(f"cost_class must be a string, got {type(cls).__name__}")
     if cls in VALIDATORS:
-        limit = bound("gross_substitutes" if cls == "gross_substitutes" else "validator")
+        limit = bound(guard_kind(cls))
         if cost.arity <= limit:
             report = validate_class(cost, cls)
             if not report.passed:
@@ -208,7 +226,7 @@ def dumps_instance(instance: Instance, *, indent: int | None = 2) -> str:
     return json.dumps(instance_to_json(instance), indent=indent)
 
 
-def loads_instance(text: str) -> Instance:
+def loads_instance(text: str, *, guards: tuple[str, ...] = ()) -> Instance:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -218,7 +236,7 @@ def loads_instance(text: str) -> Instance:
         raise ParseError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply") from None
-    return instance_from_json(data)
+    return instance_from_json(data, guards=guards)
 
 
 def save_instance(instance: Instance, path) -> None:
@@ -227,7 +245,7 @@ def save_instance(instance: Instance, path) -> None:
         fh.write("\n")
 
 
-def load_instance(source) -> Instance:
+def load_instance(source, *, guards: tuple[str, ...] = ()) -> Instance:
     """Load from a path or an open text file; undecodable bytes are a ParseError."""
     try:
         if hasattr(source, "read"):
@@ -237,7 +255,7 @@ def load_instance(source) -> Instance:
                 text = fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"invalid {exc.encoding} text: {exc.reason} at byte {exc.start}") from exc
-    return loads_instance(text)
+    return loads_instance(text, guards=guards)
 
 
 def digest_instance(instance: Instance) -> str:

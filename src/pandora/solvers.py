@@ -349,7 +349,11 @@ class GapReport:
 
 
 def adaptivity_gap(instance: Instance) -> GapReport:
-    """Run every applicable solver and compare the optima exactly."""
+    """Run every applicable solver and compare the optima exactly.
+
+    Both enumeration caps are checked before the adaptive DP runs."""
+    guard("adaptive", instance.n)
+    guard("order_enum", instance.n)
     utility_a, tree = optimal_adaptive(instance)
     fixed, utility_f = optimal_fixed_order(instance)
     if instance.is_bernoulli():

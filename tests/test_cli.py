@@ -223,6 +223,87 @@ class TestSolve:
         assert data["error"]["type"] == "capability"
 
 
+class TestSizeCapsAtLoad:
+    """solve, gap and validate stop building boxes once the file has more
+    than their own size guard allows."""
+
+    @staticmethod
+    def write(tmp_path, boxes):
+        labels = range(1, len(boxes) + 1)
+        path = tmp_path / "boxes.json"
+        path.write_text(json.dumps({
+            "boxes": [{"label": b, **box} for b, box in zip(labels, boxes)],
+            "cost": {"kind": "additive", "per_box": {str(b): "1" for b in labels}}}))
+        return str(path)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        import pandora.serialize
+
+        count = []
+
+        class Counted(pandora.serialize.FiniteDistribution):
+            __slots__ = ()
+
+            def __init__(self, atoms):
+                count.append(1)
+                super().__init__(atoms)
+
+        monkeypatch.delenv("PANDORA_MAX_N", raising=False)
+        monkeypatch.setattr(pandora.serialize, "FiniteDistribution", Counted)
+        return count
+
+    ONE = {"atoms": [["1", "1"]]}
+    ZERO = {"atoms": [["0", "1"]]}
+
+    # gap stops at the least of its two caps but applies them in its own order
+    @pytest.mark.parametrize("argv, boxes, kind, cap, stop", [
+        (("solve",), 1000, "adaptive", 14, 15),
+        (("solve", "--class", "fixed_order"), 1000, "order_enum", 8, 9),
+        (("gap",), 1000, "adaptive", 14, 9),
+        (("gap",), 10, "order_enum", 8, 9),
+        (("validate", "--class", "submodular"), 1000, "validator", 14, 15),
+        (("validate", "--class", "gross_substitutes"), 1000, "gross_substitutes", 10, 11),
+    ])
+    def test_refused_after_one_box_past_the_cap(self, capsys, tmp_path, built,
+                                                 argv, boxes, kind, cap, stop):
+        code, data = run_json(capsys, *argv, "-i", self.write(tmp_path, [self.ONE] * boxes))
+        assert code == 3
+        assert data["error"]["message"].startswith(
+            f"{kind} enumeration is capped at n <= {cap} (got n = {boxes})")
+        assert len(built) == stop
+
+    def test_weitzman_builds_every_box(self, capsys, tmp_path, built):
+        code, data = run_json(capsys, "solve", "--class", "weitzman",
+                              "-i", self.write(tmp_path, [self.ONE] * 1000))
+        assert code == 0
+        assert len(built) == 1000
+
+    def test_constant_zero_boxes_are_not_counted(self, capsys, tmp_path, built, monkeypatch):
+        monkeypatch.setenv("PANDORA_MAX_N", "3")
+        boxes = [self.ZERO, self.ONE, self.ZERO, self.ONE, self.ZERO, self.ONE]
+        with pytest.warns(UserWarning, match="dropping constant-zero boxes"):
+            code, data = run_json(capsys, "solve", "-i", self.write(tmp_path, boxes))
+        assert code == 0
+        assert data["utility"] == "0"
+        with pytest.warns(UserWarning, match="dropping constant-zero boxes"):
+            code, data = run_json(capsys, "gap", "-i", self.write(tmp_path, boxes))
+        assert code == 0
+        code, data = run_json(capsys, "solve", "-i", self.write(tmp_path, boxes + [self.ONE]))
+        assert code == 3
+        assert "(got n = 4)" in data["error"]["message"]
+
+    def test_past_the_cap_only_labels_are_read(self, capsys, tmp_path, built):
+        boxes = [self.ONE] * 20
+        code, data = run_json(capsys, "solve", "-i", self.write(
+            tmp_path, boxes[:-1] + [{"atoms": [["1", "2"]]}]))
+        assert code == 3
+        code, data = run_json(capsys, "solve", "-i", self.write(
+            tmp_path, boxes[:-1] + [{"label": "abc", "atoms": [["1", "1"]]}]))
+        assert code == 2
+        assert "box label must be an integer" in data["error"]["message"]
+
+
 class TestGap:
     def test_example1(self, capsys, example1_path):
         code, data = run_json(capsys, "gap", "-i", example1_path)

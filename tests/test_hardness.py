@@ -153,6 +153,33 @@ class TestVerifyFamily:
         assert r.verdict == "pass"
         assert r.planted_utility > 0
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scan_matches_the_closed_form_at_every_size(self, seed):
+        # 100 triples n <= 5000, beta < alpha <= n, every fifth with alpha = n:
+        # the report must read exactly what u(s) from the public closed form gives
+        rng = random.Random(seed)
+        for t in range(25):
+            n = rng.randint(2, 5000)
+            a = n if t % 5 == 0 else rng.randint(2, n)
+            b = rng.randint(1, a - 1)
+            r = verify_family(n, alpha=a, beta=b)
+            params = hardness_params(n, alpha=a, beta=b)
+            u = [symmetric_impulsive_utility(params, size) for size in range(n + 1)]
+            argmax = max(range(1, n + 1), key=u.__getitem__)
+            assert (r.argmax_s, r.max_baseline_utility) == (argmax, u[argmax])
+            assert r.violations == tuple(size for size in range(1, n + 1) if u[size] >= 0)
+            for case in r.cases:
+                sizes = {"case1:s>=alpha": range(a, n + 1),
+                         "case2:21beta<=s<alpha": range(21 * b, a),
+                         "case3:0<s<21beta": range(1, min(21 * b, a)),
+                         "case4:s=0": range(1)}[case["case"]]
+                bound = case["bound"]
+                margins = [((size / a) * (26 * b - a) if isinstance(bound, str) else bound)
+                           - u[size] for size in sizes]
+                assert case["count"] == len(sizes)
+                assert case["min_margin"] == min(margins)
+                assert case["min_margin_s"] == sizes[margins.index(min(margins))]
+
     def test_json_carries_the_banner(self):
         j = verify_family(6, alpha=4, beta=1).to_json()
         assert "not desk-reproducible" in j["banner"]
@@ -274,6 +301,25 @@ class TestDistinguishExperiment:
             distinguish_experiment(6, [{7}], budget=1, trials=1, alpha=4, beta=1)
 
 
+def _set_branch_threshold(k):
+    # random.sample draws into a set above this population size, from a pool below
+    return 21 if k <= 5 else 21 + 4 ** math.ceil(math.log(k * 3, 4))
+
+
+class TestAlphaSubset:
+    @pytest.mark.parametrize("n, k", [
+        *((_set_branch_threshold(k) + d, k) for k in (1, 5, 6, 30, 107) for d in (0, 1)),
+        (4096, 107), (10 ** 5, 729), (10 ** 6, 2764), (27, 27),   # alpha at 4096, 10^5, 10^6
+    ])
+    def test_same_set_and_same_words_as_sample(self, n, k):
+        from pandora.hardness import _alpha_subset
+
+        for seed in range(20):
+            ours, stdlib = random.Random(seed), random.Random(seed)
+            assert _alpha_subset(ours, n, k) == frozenset(stdlib.sample(range(1, n + 1), k))
+            assert ours.getrandbits(64) == stdlib.getrandbits(64)
+
+
 class TestPinnedReports:
     """Digests of whole reports.  The experiment digests were recorded before
     oracle construction became O(1): the per-trial RNG stream, the fixed-set
@@ -298,6 +344,13 @@ class TestPinnedReports:
         assert r.witness["S"] == [2, 3, 5, 7]
         assert self.digest(r) == "d7f0ebf9166a0537a5c32e42db40b1201e45b9e49447838246d5a20a73519765"
 
+    def test_set_branch_with_witness(self):
+        # n = 300 is above sample's set-branch threshold of 277 for 30 labels
+        r = distinguish_experiment(300, budget=5, trials=40, seed=9, alpha=30, beta=5)
+        assert r.distinguishing_count == 9
+        assert (r.witness["trial"], r.witness["overlap"]) == (5, 8)
+        assert self.digest(r) == "604c6436189827e42625af22fd1e5a1a72c4ce4481c8ce769576e99a16715f1d"
+
     def test_caller_list_truncated_with_witness(self):
         queries = [{1, 2, 3, 4}, {5, 6, 7, 8}, {1, 2, 5, 6}]
         r = distinguish_experiment(8, queries, budget=2, trials=30, seed=4, alpha=4, beta=2)
@@ -311,6 +364,7 @@ class TestPinnedReports:
         (27, 27, 1, "513f170dbe37e3fb50db47d314d2a306c98e2a8b32cd6d7d20e1035a99535917"),
         (4096, None, None, "1bf35ad856865701c51579bbeeb1668381900b28eeaad33c93375dbd18761f2a"),
         (100000, None, None, "721874c28f684b00a3d7afee096783c9a8ff0093be7394acfd201a6b03926ada"),
+        (10 ** 6, None, None, "e195715a0b70d24295600016dd3ac94117b5f8286b4fbfc4e0c936f6e752c28a"),
     ])
     def test_family_report(self, n, alpha, beta, expected):
         assert self.digest(verify_family(n, alpha=alpha, beta=beta)) == expected

@@ -265,6 +265,25 @@ class TestAdaptivityGap:
         assert set(r.strict_gap) == {"adaptive_vs_fixed"}
         assert r.strict_gap["adaptive_vs_fixed"] is True
 
+    @pytest.mark.parametrize("n, message", [
+        (9, "order_enum enumeration is capped at n <= 8 (got n = 9)"),
+        (15, "adaptive enumeration is capped at n <= 14 (got n = 15)"),
+    ])
+    def test_caps_are_checked_before_the_dp(self, monkeypatch, n, message):
+        # the adaptive DP must not run for an instance the fixed-order scan refuses
+        import pandora.solvers
+
+        def no_dp(instance):
+            raise AssertionError("adaptive DP ran")
+
+        monkeypatch.delenv("PANDORA_MAX_N", raising=False)
+        monkeypatch.setattr(pandora.solvers, "optimal_adaptive", no_dp)
+        boxes = [bernoulli(b, "1/2") for b in range(1, n + 1)]
+        inst = Instance(boxes, AdditiveCost({b: 1 for b in range(1, n + 1)}))
+        with pytest.raises(CapabilityError) as caught:
+            adaptivity_gap(inst)
+        assert str(caught.value).startswith(message)
+
     @settings(max_examples=15, deadline=None)
     @given(seeds)
     def test_class_chain(self, seed):

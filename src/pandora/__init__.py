@@ -27,7 +27,6 @@ from .costs import (
     CoverageCost,
     ExplicitCost,
     HardnessCost,
-    MarginalOracle,
     ProjectionCost,
     QueryCountingOracle,
     TreeClosureCost,
@@ -52,7 +51,6 @@ from .instances import (
     FiniteDistribution,
     Instance,
     bernoulli,
-    canonical,
     deterministic,
     example1,
     hardness_instance,
@@ -117,12 +115,12 @@ __all__ = [
     "DomainError", "ENTRIES", "ExplicitCost", "FamilyReport",
     "FiniteDistribution", "FixedOrderThresholds", "GapReport",
     "HardnessCost", "HardnessParams", "INF", "ImpulsiveStrategy",
-    "ImpulsiveWithDummies", "Instance", "MarginalOracle",
+    "ImpulsiveWithDummies", "Instance",
     "MarginalUtilityContext", "PandoraError", "ParseError", "PolicyTree",
     "ProjectionCost", "QueryCountingOracle", "SuiteReport", "THEOREMS",
     "TreeClosureCost", "VALIDATORS", "XosCost",
     "adaptivity_gap", "bernoulli", "bernoullify", "budget_counterexample",
-    "canonical", "check_preservation", "deterministic", "digest_instance",
+    "check_preservation", "deterministic", "digest_instance",
     "discretize", "distinguish_experiment", "dummy_mixture", "dumps_instance",
     "eval_fixed_order", "eval_impulsive", "eval_policy", "example1",
     "fmt", "hardness_instance", "hardness_params", "hypergeometric_tail",

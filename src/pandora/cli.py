@@ -42,10 +42,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_CAPABILITY = 3
 
-# the size guards each solver applies to the box count; impulsive refuses a
-# non-Bernoulli instance before its guard runs, so its file is read whole
+# the size guards each solver applies to the box count
 _SOLVE_GUARDS = {"adaptive": ("adaptive",), "fixed_order": ("order_enum",),
-                 "impulsive": (), "weitzman": ()}
+                 "impulsive": ("adaptive",), "weitzman": ()}
 
 
 def _read_instance(path: str, guards: tuple[str, ...] = ()) -> Instance:

@@ -505,22 +505,6 @@ class HardnessCost(CostOracle):
         return out
 
 
-class MarginalOracle(CostOracle):
-    """c(. | T) as an oracle on ground(inner) - T; normalized and monotone."""
-
-    def __init__(self, inner: CostOracle, T: Iterable[int]):
-        T = frozenset(T)
-        if not T <= inner._members:
-            raise DomainError(f"conditioning set {sorted(T)} outside {inner.ground}")
-        self._adopt(tuple(b for b in inner.ground if b not in T), inner._members - T)
-        self.inner = inner
-        self.T = T
-        self._base = inner.eval(T)
-
-    def _value(self, S: BoxSet) -> Fraction:
-        return self.inner.eval(S | self.T) - self._base
-
-
 class ProjectionCost(CostOracle):
     """Pull a cost back through a relabelling: c'(S) = inner(image of S).
 

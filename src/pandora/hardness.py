@@ -104,10 +104,6 @@ class HardnessParams:
     M: int
     p: Fraction
 
-    @property
-    def q(self) -> Fraction:
-        return 1 - self.p
-
 
 def hardness_params(n: int, *, alpha: int | None = None,
                     beta: int | None = None) -> HardnessParams:
@@ -179,7 +175,7 @@ def symmetric_impulsive_utility_exact(params: HardnessParams, s: int,
     k = min(s, _cost_cap(params, s, variant))
     if s == 0:
         return Fraction(0)
-    q = params.q
+    q = 1 - params.p
     return params.M * (1 - q ** s) - (1 - q ** k) / params.p
 
 

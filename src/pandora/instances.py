@@ -5,7 +5,7 @@ one cost oracle; box *labels* are the oracle's ground set, 1..n by default.
 `FiniteDistribution` is the only box type: a weighted-Bernoulli box is one
 whose `is_bernoulli()` holds, and its pair (v, p) is read in place from its
 last atom.  Everything is exact rationals.  The canonical corpus instances
-live here so solvers and tests can ask for them by name.
+live here too.
 """
 from __future__ import annotations
 
@@ -73,24 +73,9 @@ class FiniteDistribution:
     def support(self) -> tuple[Fraction, ...]:
         return tuple(v for v, _ in self.atoms)
 
-    def expectation(self) -> Fraction:
-        return sum((v * p for v, p in self.atoms), ZERO)
-
-    def expected_excess(self, z) -> Fraction:
-        """E[(V - z)^+] -- the tail mass above z, the quantity kappa and z solve against."""
-        z = rat(z)
-        return sum((p * (v - z) for v, p in self.atoms if v > z), ZERO)
-
     def cdf(self, v) -> Fraction:
         v = rat(v)
         return sum((p for a, p in self.atoms if a <= v), ZERO)
-
-    def prob_of(self, v) -> Fraction:
-        v = rat(v)
-        for a, p in self.atoms:
-            if a == v:
-                return p
-        return ZERO
 
     def is_constant_zero(self) -> bool:
         return self.atoms == ((ZERO, ONE),)
@@ -311,28 +296,6 @@ def xos_lift_of(instance: Instance) -> Instance:
         atoms.append((2 * (shift + v), p / 2))
     v0 = FiniteDistribution(atoms)
     return Instance([v0, *instance.boxes], g, cost_class="xos")
-
-
-_CANONICAL = {
-    "example1": example1,
-    "unit_demand_pair": unit_demand_pair,
-    "subadditive4": subadditive4,
-    "hardness": hardness_instance,
-    "xos_lift_of": xos_lift_of,
-}
-
-
-def canonical(name: str, **params) -> Instance:
-    """Fetch a corpus instance by name.
-
-    Plain names: example1, unit_demand_pair, subadditive4.  Parameterized:
-    canonical("hardness", n=..., variant="baseline"|"planted", ...) and
-    canonical("xos_lift_of", instance=...).
-    """
-    builder = _CANONICAL.get(name)
-    if builder is None:
-        raise DomainError(f"unknown canonical instance {name!r}; choose from {sorted(_CANONICAL)}")
-    return builder(**params)
 
 
 # ---------------------------------------------------------------------------

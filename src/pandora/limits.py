@@ -17,7 +17,7 @@ from .errors import CapabilityError
 
 DEFAULT_BOUNDS = {
     "adaptive": 14,        # 2^n * |support| DP states
-    "order_enum": 8,       # n! permutations / ordered subsets
+    "order_enum": 8,       # n! permutations
     "validator": 14,       # 2^n tabulation + pairwise scans
     "gross_substitutes": 10,  # 2^n * n^3 triple checks
     "xos_lift": 14,        # 2^n clauses

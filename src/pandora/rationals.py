@@ -86,7 +86,3 @@ def parse_extended(s: str) -> Extended:
     if s == "-inf":
         return -INF
     return rat(s)
-
-
-def is_finite(x: Extended) -> bool:
-    return not (x == INF or x == -INF)

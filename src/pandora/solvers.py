@@ -6,7 +6,8 @@ All solvers are exhaustive and exact:
   bottom-up over subsets;
 * fixed order with thresholds: depth-first search over ordered suffixes,
   sharing the threshold recursion between orders with a common tail;
-* impulsive: depth-first search over ordered prefixes (Bernoulli instances);
+* impulsive: subset dynamic program over the boxes already opened, all of
+  which came up 0 (Bernoulli instances);
 * weitzman: the classical descending reservation-value rule, additive costs
   only, used as an independent cross-check of the DP.
 
@@ -37,7 +38,7 @@ from .strategies import (
 ZERO = Fraction(0)
 
 
-def _integer_view(instance: Instance, costs: Table, vectors: int):
+def _integer_view(instance: Instance, costs: Table, vectors: int, width: int | None = None):
     """The instance on integers, for the exhaustive kernels below.
 
     `costs` holds monotone costs as ints at scale D (a `CostOracle.table()`).
@@ -50,8 +51,9 @@ def _integer_view(instance: Instance, costs: Table, vectors: int):
 
     A quantity with k boxes still to open is held at scale Dv * Dp^k, so
     numbers compared with one another share one scale.  Raises
-    CapabilityError first if the rescaled costs or `vectors` grid vectors of
-    those quantities would exceed the bit budget.
+    CapabilityError first if the rescaled costs or `vectors` vectors of
+    `width` such quantities (default: one per grid point) would exceed the
+    bit budget.
     """
     grid = support_union(instance)
     values, Dv = scaled(grid, costs.D)
@@ -60,7 +62,8 @@ def _integer_view(instance: Instance, costs: Table, vectors: int):
         guard_bits(len(costs), costs[-1].bit_length() + up.bit_length())
         costs = [c * up for c in costs]
     probs, Dp = scaled([p for box in instance.boxes for _, p in box.atoms])
-    guard_bits(vectors * len(grid), values[-1].bit_length() + instance.n * Dp.bit_length())
+    guard_bits(vectors * (width or len(grid)),
+               values[-1].bit_length() + instance.n * Dp.bit_length())
     index = {v: k for k, v in enumerate(grid)}
     probs = iter(probs)
     boxes = []
@@ -222,41 +225,48 @@ def optimal_fixed_order(instance: Instance) -> tuple[FixedOrderThresholds, Fract
 
 
 def optimal_impulsive(instance: Instance) -> tuple[ImpulsiveStrategy, Fraction]:
-    """Best impulsive strategy, by a depth-first search over ordered prefixes.
+    """Best impulsive strategy, by a dynamic program over opened sets.
 
-    Bernoulli instances only.  Appending box b to an order that opened P
-    updates eval_impulsive's sum in O(1) from `cost.table()`: A += Q p_b (v_b
-    - c(P u b)), Q *= q_b, utility A - Q c(P u b).  After k boxes A and the
-    utility are held at scale Dv * Dp^k and Q at Dp^k; utilities are
-    compared at the common scale Dv * Dp^n.  Orders are visited in
-    lexicographic order after the empty one (utility 0), and only a strictly
-    better one replaces the best, so ties go to the least tuple.
+    Bernoulli instances only.  A tuple halting at its first non-zero value
+    earns sum_j q_1..q_{j-1} (p_j v_j - c(sigma_j | sigma_1..sigma_{j-1})), so
+    the best continuation once every box in P came up 0 depends on P alone:
+
+        G(P) = max(0, max_{b not in P} [p_b v_b - c(b|P) + q_b G(P u b)])
+
+    and the utility is G(empty).  G is filled from the full set down, as in
+    `optimal_adaptive`, at scale Dv * Dp^(n - |P|).  Witness: from the empty
+    set, halt once G = 0 or right after a box with p = 1 (no later slot is
+    reached), otherwise append the least label attaining G -- the least
+    optimal tuple, with a prefix before its extensions.
     """
+    guard("adaptive", instance.n)
     if not instance.is_bernoulli():
         raise DomainError("impulsive strategies need a weighted-Bernoulli instance")
-    guard("order_enum", instance.n)
     n = instance.n
-    _, boxes, costs, Dv, Dp = _integer_view(instance, instance.cost.table(), 1)
-    # per box (label, p_b v_b * Dv * Dp, p_b * Dp, q_b * Dp), read off the view
-    # with its value atom last and P(V <= 0) = q_b
-    boxes = [(b, excess[0], atoms[-1][1], low[0])
-             for b, (atoms, excess, low) in zip(instance.labels, boxes)]
+    _, boxes, costs, Dv, Dp = _integer_view(instance, instance.cost.table(), 1 << n, 1)
+    # per box (p_b v_b * Dv * Dp, q_b * Dp), read off the view: q_b = P(V <= 0)
+    boxes = [(excess[0], low[0]) for _, excess, low in boxes]
     lift = [Dp ** k for k in range(n + 1)]
-    best: tuple[tuple[int, ...], int] = ((), 0)
+    full = (1 << n) - 1
+    G = [0] * (full + 1)
 
-    def grow(mask: int, k: int, order: tuple, A: int, Q: int) -> None:
-        nonlocal best
-        for i, (b, pv, p, qb) in enumerate(boxes):
-            if not mask >> i & 1:
-                c = costs[mask | 1 << i]
-                a, q = A * Dp + Q * (pv - p * c), Q * qb
-                utility = (a - q * c) * lift[n - k - 1]
-                if utility > best[1]:
-                    best = (order + (b,), utility)
-                grow(mask | 1 << i, k + 1, order + (b,), a, q)
+    def opening(mask: int, i: int) -> int:
+        k = n - mask.bit_count()
+        nxt = mask | 1 << i
+        pv, qb = boxes[i]
+        return pv * lift[k - 1] - (costs[nxt] - costs[mask]) * lift[k] + qb * G[nxt]
 
-    grow(0, 0, (), 0, 1)
-    return ImpulsiveStrategy(best[0]), Fraction(best[1], Dv * lift[n])
+    for mask in range(full - 1, -1, -1):
+        G[mask] = max(0, *(opening(mask, i) for i in range(n) if not mask >> i & 1))
+
+    order, mask = [], 0
+    while G[mask] > 0:
+        i = next(i for i in range(n) if not mask >> i & 1 and opening(mask, i) == G[mask])
+        order.append(instance.labels[i])
+        if boxes[i][1] == 0:
+            break
+        mask |= 1 << i
+    return ImpulsiveStrategy(tuple(order)), Fraction(G[0], Dv * lift[n])
 
 
 def _tail_root(atoms, c: Fraction) -> Fraction:

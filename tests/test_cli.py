@@ -4,8 +4,10 @@ import pytest
 
 from pandora import (
     dumps_instance,
+    eval_impulsive,
     example1,
     random_instance,
+    rat,
     save_instance,
     subadditive4,
     unit_demand_pair,
@@ -81,6 +83,17 @@ class TestSolve:
             code, data = run_json(capsys, "solve", "-i", str(path), "--class", cls)
             assert code == 0
             assert data["query_count"] == 64
+
+    def test_impulsive_answers_fourteen_boxes(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.delenv("PANDORA_MAX_N", raising=False)
+        path = tmp_path / "bernoulli14.json"
+        inst = random_instance("bernoulli_hardness", 14, 1)
+        save_instance(inst, path)
+        code, data = run_json(capsys, "solve", "-i", str(path), "--class", "impulsive")
+        assert code == 0
+        assert data["query_count"] == 1 << 14
+        assert len(data["strategy"]["order"]) == 7
+        assert rat(data["utility"]) == eval_impulsive(inst, data["strategy"]["order"]) > 0
 
     @pytest.mark.parametrize("cost_class", ["[]", "{}"])
     def test_non_string_cost_class_is_a_parse_error(self, capsys, tmp_path, cost_class):
@@ -264,6 +277,7 @@ class TestSizeCapsAtLoad:
         (("gap",), 10, "order_enum", 8, 9),
         (("validate", "--class", "submodular"), 1000, "validator", 14, 15),
         (("validate", "--class", "gross_substitutes"), 1000, "gross_substitutes", 10, 11),
+        (("solve", "--class", "impulsive"), 1000, "adaptive", 14, 15),
     ])
     def test_refused_after_one_box_past_the_cap(self, capsys, tmp_path, built,
                                                  argv, boxes, kind, cap, stop):

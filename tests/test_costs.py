@@ -11,7 +11,6 @@ from pandora import (
     DomainError,
     ExplicitCost,
     HardnessCost,
-    MarginalOracle,
     ProjectionCost,
     QueryCountingOracle,
     TreeClosureCost,
@@ -239,17 +238,6 @@ def test_projection_restriction_and_free_copies():
     assert c.ground == (10, 11, 12)
 
 
-def test_marginal_oracle():
-    inner = CoverageCost([1, 2, 3], [(4, [1, 2]), (1, [3])])
-    m = MarginalOracle(inner, {1})
-    assert m.ground == (2, 3)
-    assert m.eval([]) == 0
-    assert m.eval([2]) == 0          # element already covered by 1
-    assert m.eval([3]) == 1
-    with pytest.raises(DomainError):
-        MarginalOracle(inner, {9})
-
-
 def test_query_counter_counts_every_eval():
     counted = QueryCountingOracle(AdditiveCost([1, 1]))
     assert counted.count == 0
@@ -300,9 +288,11 @@ def _every_kind():
         "tree": TreeClosureCost({1: 0, 2: 1, 3: 0}, {1: 5, 2: 1, 3: 2}),
         "hardness": HardnessCost(5, 3),
         "hardness_planted": HardnessCost(6, 4, 1, R={1, 2, 3, 4}),
-        "marginal": MarginalOracle(coverage, {2}),
         "projection": ProjectionCost([10, 11, 12], {10: 1, 11: 1, 12: 2}, explicit),
         "restriction": ProjectionCost([1, 3], {1: 1, 3: 3}, coverage),
+        # an inner ground above the table bound: filled through eval
+        "restriction_of_large_ground": ProjectionCost([1, 2, 3, 4], {1: 1, 2: 7, 3: 13, 4: 20},
+                                                      HardnessCost(20, 5)),
         "counting": QueryCountingOracle(coverage),
         "xos_lift": xos_lift(explicit),
         # the cases an integer kernel can get wrong
@@ -390,12 +380,8 @@ def test_wrappers_share_the_validated_ground():
     inner = HardnessCost(4096, 107)
     counted = QueryCountingOracle(inner)
     assert counted.ground is inner.ground
-    marginal = MarginalOracle(inner, {1, 4096})
-    assert marginal.ground == tuple(range(2, 4096))
     with pytest.raises(DomainError, match="outside ground"):
         counted.eval([0])
-    with pytest.raises(DomainError, match="outside ground"):
-        marginal.eval([1])
 
 
 def test_fast_constructors_keep_their_checks():
@@ -403,7 +389,3 @@ def test_fast_constructors_keep_their_checks():
         HardnessCost(10, 3, 1, R={8, 9, 11})
     with pytest.raises(DomainError, match="exactly alpha"):
         HardnessCost(10, 3, 1, R={1, 2})
-    with pytest.raises(DomainError, match="conditioning set"):
-        MarginalOracle(HardnessCost(10, 3), {0})
-    with pytest.raises(DomainError, match="conditioning set"):
-        MarginalOracle(QueryCountingOracle(HardnessCost(10, 3)), {11})

@@ -26,7 +26,6 @@ class TestParams:
         p = hardness_params(100000)
         assert (p.alpha, p.beta, p.M) == (729, 27, 135)
         assert p.p == Fraction(1, 729)
-        assert p.q == Fraction(728, 729)
         p = hardness_params(4096)
         assert (p.alpha, p.beta, p.M) == (107, 14, 70)
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pandora.errors import CapabilityError
 from pandora.limits import SCALED_BITS
-from pandora.rationals import INF, fmt, is_finite, parse_extended, rat, scaled
+from pandora.rationals import INF, fmt, parse_extended, rat, scaled
 
 
 class TestRat:
@@ -90,12 +90,6 @@ class TestFmtAndParse:
     def test_round_trip(self, x):
         assert parse_extended(fmt(x)) == x
 
-
-def test_is_finite():
-    assert is_finite(Fraction(0))
-    assert is_finite(Fraction(-100, 7))
-    assert not is_finite(INF)
-    assert not is_finite(-INF)
 
 
 class TestScaled:

@@ -165,6 +165,22 @@ class TestOptimalImpulsive:
         with pytest.raises(DomainError, match="Bernoulli"):
             optimal_impulsive(subadditive4())
 
+    def test_halts_after_a_sure_box(self):
+        # box 1 always pays out, so no slot after it is reached: the least
+        # optimal tuple is (1,), not (1, 2)
+        inst = Instance([bernoulli(10, 1), bernoulli(5, "1/2")], AdditiveCost([0, 0]))
+        s, u = optimal_impulsive(inst)
+        assert (s.order, u) == ((1,), 10)
+
+    @pytest.mark.parametrize("family", ["bernoulli_coverage", "bernoulli_tree",
+                                        "bernoulli_hardness"])
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_submodular_needs_no_adaptivity_above_eight_boxes(self, family, n):
+        # T31 past the n! search's old cap of 8
+        for seed in range(5):
+            inst = random_instance(family, n, seed)
+            assert optimal_impulsive(inst)[1] == optimal_adaptive(inst)[0]
+
     @settings(max_examples=40, deadline=None)
     @given(families, sizes, seeds)
     def test_matches_exhaustive_oracle(self, family, n, seed):

@@ -32,7 +32,9 @@ seeds = st.integers(0, 2 ** 31 - 1)
 
 
 def total_tail(instance, kappa):
-    return sum((b.expected_excess(kappa) for b in instance.boxes), Fraction(0))
+    # E[(V - kappa)^+] summed over the boxes
+    return sum((p * (v - kappa) for b in instance.boxes for v, p in b.atoms if v > kappa),
+               Fraction(0))
 
 
 class TestKappa:

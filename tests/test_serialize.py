@@ -73,6 +73,17 @@ class TestCostRoundTrips:
         for S in _all_subsets(lifted.cost.ground):
             assert proj.eval(S) == lifted.cost.eval(S)
 
+    def test_written_json_is_pinned(self):
+        # key order too: no sort_keys
+        import hashlib
+
+        from test_costs import _every_kind
+
+        kinds = _every_kind()
+        doc = json.dumps([cost_to_json(kinds[k]) for k in sorted(kinds) if k != "counting"])
+        assert hashlib.sha256(doc.encode()).hexdigest() == (
+            "ff3d9222b30856ef47f99df3e074b1e1e602dc55b0f3d852be60ba254b69c5a4")
+
     def test_unknown_kind(self):
         with pytest.raises(ParseError, match="unknown cost kind"):
             cost_from_json({"kind": "mystery"})

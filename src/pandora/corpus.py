@@ -285,9 +285,6 @@ def run_corpus() -> CorpusReport:
 # theorem suites
 # ---------------------------------------------------------------------------
 
-THEOREMS = ("T31", "T44", "L35", "cancellation", "preservation", "chain")
-
-
 @dataclass(frozen=True)
 class SuiteReport:
     theorem: str
@@ -496,34 +493,32 @@ def _chain_trial(rng: random.Random, t: int, failures: list) -> None:
               f"u_M={u_m} != u_N - p*v_r = {u_n - p_open * v_r}", inst)
 
 
-_TRIALS = {
-    "T31": _t31_trial,
-    "T44": _t44_trial,
-    "L35": _l35_trial,
-    "cancellation": _cancellation_trial,
-    "preservation": _preservation_trial,
-    "chain": _chain_trial,
+_SUITES = {
+    "T31": (_t31_trial,
+            "Bernoulli + submodular cost: the impulsive optimum matches the adaptive optimum exactly"),
+    "T44": (_t44_trial,
+            "submodular costs, any finite support: fixed-order strategies match the adaptive optimum"),
+    "L35": (_l35_trial,
+            "dummy-split: u_N(pi) <= u_N(pi_A | B) + u_N(pi_B) for submodular costs"),
+    "cancellation": (_cancellation_trial,
+                     "c(h|T+l) - c(l|T+h) == c(h|T) - c(l|T) for every cost function"),
+    "preservation": (_preservation_trial,
+                     "cost classes survive Bernoullification, except budget-additive"),
+    "chain": (_chain_trial, "u_M <= u_Y <= u_N, and u_M = u_N - p*v_r"),
 }
 
-_NOTES = {
-    "T31": "Bernoulli + submodular cost: the impulsive optimum matches the adaptive optimum exactly",
-    "T44": "submodular costs, any finite support: fixed-order strategies match the adaptive optimum",
-    "L35": "dummy-split: u_N(pi) <= u_N(pi_A | B) + u_N(pi_B) for submodular costs",
-    "cancellation": "c(h|T+l) - c(l|T+h) == c(h|T) - c(l|T) for every cost function",
-    "preservation": "cost classes survive Bernoullification, except budget-additive",
-    "chain": "u_M <= u_Y <= u_N, and u_M = u_N - p*v_r",
-}
+THEOREMS = tuple(_SUITES)
 
 
 def run_theorem_suite(theorem: str, trials: int, seed: int) -> SuiteReport:
     """Seeded randomized verification; identical seeds give identical reports."""
-    if theorem not in _TRIALS:
+    if theorem not in _SUITES:
         raise DomainError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
     if trials < 1:
         raise DomainError(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
     failures: list[dict] = []
-    runner = _TRIALS[theorem]
+    runner, note = _SUITES[theorem]
     for t in range(trials):
         runner(rng, t, failures)
     return SuiteReport(
@@ -531,5 +526,5 @@ def run_theorem_suite(theorem: str, trials: int, seed: int) -> SuiteReport:
         trials=trials,
         seed=seed,
         failures=tuple(failures),
-        note=_NOTES[theorem],
+        note=note,
     )

@@ -10,7 +10,8 @@ denominators.  Each kind builds its ints with no Fraction per subset (see
 oracle's table, counted as 2^n queries once.  Only grounds given by the
 caller are validated; wrappers reuse their inner's, and every `HardnessCost`
 on n boxes shares one cached 1..n ground (tuple and frozenset), so
-construction is O(1) once that ground exists.
+construction is O(1) once that ground exists.  The JSON form of each kind
+is written and read in `serialize`.
 """
 from __future__ import annotations
 
@@ -165,10 +166,6 @@ class CostOracle:
                 return False, S
         return True, None
 
-    def spec(self) -> dict:
-        """JSON-ready description ({"kind": ..., ...}); see serialize module."""
-        raise NotImplementedError(f"{type(self).__name__} has no serial form")
-
 
 def marginal_cost(oracle: CostOracle, S: Iterable[int], T: Iterable[int]) -> Fraction:
     """c(S | T) = c(S u T) - c(T); S and T must be disjoint."""
@@ -215,13 +212,6 @@ class ExplicitCost(CostOracle):
     def _value(self, S: BoxSet) -> Fraction:
         return self._table[sum(self._bit[b] for b in S)]
 
-    def spec(self) -> dict:
-        return {
-            "kind": "explicit",
-            "table": {",".join(map(str, _labels_of(mask, self.ground))): str(self._table[mask])
-                      for mask in _masks_by_size(self.arity)},
-        }
-
 
 def _per_box_weights(per_box: Mapping[int, object] | Sequence[object]) -> dict[int, Fraction]:
     """Nonnegative weights by label; a sequence labels its entries 1..n."""
@@ -250,9 +240,6 @@ class AdditiveCost(CostOracle):
         ints, D = scaled([self.per_box[b] for b in self.ground])
         return _cover_ints(ints), D
 
-    def spec(self) -> dict:
-        return {"kind": "additive", "per_box": {str(b): str(self.per_box[b]) for b in self.ground}}
-
 
 class BudgetAdditiveCost(CostOracle):
     """c(S) = min(budget, sum of per-box costs)."""
@@ -274,13 +261,6 @@ class BudgetAdditiveCost(CostOracle):
         ints, D = scaled([self.per_box[b] for b in self.ground] + [self.budget])
         cap = ints.pop()
         return [min(v, cap) for v in _cover_ints([min(w, cap) for w in ints])], D
-
-    def spec(self) -> dict:
-        return {
-            "kind": "budget_additive",
-            "per_box": {str(b): str(self.per_box[b]) for b in self.ground},
-            "budget": str(self.budget),
-        }
 
 
 class CoverageCost(CostOracle):
@@ -311,13 +291,6 @@ class CoverageCost(CostOracle):
         ints, D = scaled([w for w, _ in self.elements])
         return _cover_ints(ints, [sum(1 << e for e, (_, g) in enumerate(self.elements) if b in g)
                                   for b in self.ground]), D
-
-    def spec(self) -> dict:
-        return {
-            "kind": "coverage",
-            "ground": list(self.ground),
-            "elements": [[str(w), sorted(g)] for w, g in self.elements],
-        }
 
 
 class XosCost(CostOracle):
@@ -364,13 +337,6 @@ class XosCost(CostOracle):
             best = list(map(max, best, _cover_ints([weights.get(b, 0) for b in self.ground])))
         return best, D
 
-    def spec(self) -> dict:
-        return {
-            "kind": "xos",
-            "ground": list(self.ground),
-            "clauses": [{str(b): str(w) for b, w in sorted(c.items())} for c in self.clauses],
-        }
-
 
 class TreeClosureCost(CostOracle):
     """Cost of the minimal root-connected superset in a precedence tree.
@@ -386,12 +352,13 @@ class TreeClosureCost(CostOracle):
             raise DomainError("the root 0 must not have a parent entry")
         super().__init__(nodes)
         self.parent = dict(parent)
+        given = {b: rat(c) for b, c in node_costs.items()}
         costs = {0: ZERO}
         for b in nodes:
-            costs[b] = rat(node_costs.get(b, 0))
+            costs[b] = given.get(b, ZERO)
             if costs[b] < 0:
                 raise DomainError(f"negative node cost at {b}")
-        if rat(node_costs.get(0, 0)) != 0:
+        if given.get(0, ZERO) != 0:
             raise DomainError("the root's cost must be 0")
         self.node_costs = costs
         # reject cycles / dangling parents by walking every node towards the
@@ -431,13 +398,6 @@ class TreeClosureCost(CostOracle):
         bit = {b: 1 << i for i, b in enumerate(self.ground)}
         return _cover_ints(ints, [sum(bit.get(v, 0) for v in self.closure({b}))
                                   for b in self.ground]), D
-
-    def spec(self) -> dict:
-        return {
-            "kind": "tree",
-            "parent": {str(b): self.parent[b] for b in self.ground},
-            "node_costs": {str(b): str(self.node_costs[b]) for b in self.ground},
-        }
 
 
 @functools.lru_cache(maxsize=4, typed=True)
@@ -496,14 +456,6 @@ class HardnessCost(CostOracle):
         return [min(m.bit_count(), self.alpha, beta + (m & out).bit_count())
                 for m in range(1 << self.n)], 1
 
-    def spec(self) -> dict:
-        out: dict = {"kind": "hardness", "n": self.n, "alpha": self.alpha}
-        if self.beta is not None:
-            out["beta"] = self.beta
-        if self.R is not None:
-            out["R"] = sorted(self.R)
-        return out
-
 
 class ProjectionCost(CostOracle):
     """Pull a cost back through a relabelling: c'(S) = inner(image of S).
@@ -540,14 +492,6 @@ class ProjectionCost(CostOracle):
         for b in self.ground:
             image += [m | bit[self.label_map[b]] for m in image]
         return [inner.ints[m] for m in image], inner.D
-
-    def spec(self) -> dict:
-        return {
-            "kind": "projection",
-            "ground": list(self.ground),
-            "label_map": {str(b): self.label_map[b] for b in self.ground},
-            "inner": self.inner.spec(),
-        }
 
 
 class QueryCountingOracle(CostOracle):

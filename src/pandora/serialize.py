@@ -1,10 +1,13 @@
 """JSON round-tripping for instances, costs, strategies, and policy trees.
 
-Numbers travel as exact "p/q" strings (never floats), so a round trip is
-bit-for-bit.  The loader normalizes: boxes that are constantly zero are
-dropped with a warning (the cost is restricted accordingly), and a declared
-cost class that the validators can check is re-checked on load -- a file
-claiming submodularity for a non-submodular table is rejected, not trusted.
+This module holds both directions of the cost format: `cost_to_json` and
+`cost_from_json` take the kinds in the same order and write and read the
+same keys.  Numbers travel as exact "p/q" strings (never floats), so a
+round trip is bit-for-bit.  The loader normalizes: boxes that are constantly
+zero are dropped with a warning (the cost is restricted accordingly), and a
+declared cost class that the validators can check is re-checked on load -- a
+file claiming submodularity for a non-submodular table is rejected, not
+trusted.
 """
 from __future__ import annotations
 
@@ -25,6 +28,8 @@ from .costs import (
     ProjectionCost,
     TreeClosureCost,
     XosCost,
+    _labels_of,
+    _masks_by_size,
 )
 from .errors import ParseError
 from .instances import FiniteDistribution, Instance
@@ -52,8 +57,45 @@ MAX_NESTING = 64
 # costs
 # ---------------------------------------------------------------------------
 
+def _by_label(values: dict, ground: tuple[int, ...]) -> dict:
+    return {str(b): str(values[b]) for b in ground}
+
+
 def cost_to_json(oracle: CostOracle) -> dict:
-    return oracle.spec()
+    """JSON-ready description ({"kind": ..., ...}) of a cost of one of the
+    eight kinds; any other oracle raises NotImplementedError."""
+    if isinstance(oracle, ExplicitCost):
+        # the table built at construction: no size guard, unlike `table()`
+        table = oracle._table
+        return {"kind": "explicit",
+                "table": {",".join(map(str, _labels_of(mask, oracle.ground))): str(table[mask])
+                          for mask in _masks_by_size(oracle.arity)}}
+    if isinstance(oracle, AdditiveCost):
+        return {"kind": "additive", "per_box": _by_label(oracle.per_box, oracle.ground)}
+    if isinstance(oracle, BudgetAdditiveCost):
+        return {"kind": "budget_additive", "per_box": _by_label(oracle.per_box, oracle.ground),
+                "budget": str(oracle.budget)}
+    if isinstance(oracle, CoverageCost):
+        return {"kind": "coverage", "ground": list(oracle.ground),
+                "elements": [[str(w), sorted(g)] for w, g in oracle.elements]}
+    if isinstance(oracle, XosCost):
+        return {"kind": "xos", "ground": list(oracle.ground),
+                "clauses": [{str(b): str(w) for b, w in sorted(c.items())} for c in oracle.clauses]}
+    if isinstance(oracle, TreeClosureCost):
+        return {"kind": "tree", "parent": {str(b): oracle.parent[b] for b in oracle.ground},
+                "node_costs": _by_label(oracle.node_costs, oracle.ground)}
+    if isinstance(oracle, HardnessCost):
+        out = {"kind": "hardness", "n": oracle.n, "alpha": oracle.alpha}
+        if oracle.beta is not None:
+            out["beta"] = oracle.beta
+        if oracle.R is not None:
+            out["R"] = sorted(oracle.R)
+        return out
+    if isinstance(oracle, ProjectionCost):
+        return {"kind": "projection", "ground": list(oracle.ground),
+                "label_map": {str(b): oracle.label_map[b] for b in oracle.ground},
+                "inner": cost_to_json(oracle.inner)}
+    raise NotImplementedError(f"{type(oracle).__name__} has no serial form")
 
 
 def _require(data: dict, key: str, context: str):
@@ -72,27 +114,25 @@ def cost_from_json(data: dict, *, boxes: int | None = None) -> CostOracle:
             table = {}
             for key, value in _require(data, "table", "explicit cost").items():
                 labels = tuple(int(part) for part in key.split(",") if part)
-                table[labels] = rat(value)
+                table[labels] = value
             ground = sorted({b for key in table for b in key})
             return ExplicitCost(table, ground=ground)
         if kind == "additive":
-            per_box = {int(b): rat(c) for b, c in _require(data, "per_box", kind).items()}
-            return AdditiveCost(per_box)
+            return AdditiveCost({int(b): c for b, c in _require(data, "per_box", kind).items()})
         if kind == "budget_additive":
-            per_box = {int(b): rat(c) for b, c in _require(data, "per_box", kind).items()}
-            return BudgetAdditiveCost(per_box, rat(_require(data, "budget", kind)))
+            per_box = {int(b): c for b, c in _require(data, "per_box", kind).items()}
+            return BudgetAdditiveCost(per_box, _require(data, "budget", kind))
         if kind == "coverage":
-            elements = [(rat(w), [int(b) for b in group])
+            elements = [(w, [int(b) for b in group])
                         for w, group in _require(data, "elements", kind)]
             return CoverageCost([int(b) for b in _require(data, "ground", kind)], elements)
         if kind == "xos":
-            clauses = [{int(b): rat(w) for b, w in clause.items()}
+            clauses = [{int(b): w for b, w in clause.items()}
                        for clause in _require(data, "clauses", kind)]
             return XosCost([int(b) for b in _require(data, "ground", kind)], clauses)
         if kind == "tree":
             parent = {int(b): int(p) for b, p in _require(data, "parent", kind).items()}
-            node_costs = {int(b): rat(c)
-                          for b, c in _require(data, "node_costs", kind).items()}
+            node_costs = {int(b): c for b, c in _require(data, "node_costs", kind).items()}
             return TreeClosureCost(parent, node_costs)
         if kind == "hardness":
             n = _require(data, "n", kind)
@@ -162,7 +202,8 @@ def instance_from_json(data: dict, *, guards: tuple[str, ...] = ()) -> Instance:
     count.  Once more boxes than the least of their bounds are built, not
     counting constant-zero ones (dropped below), the rest are only checked
     for their labels and the guards run, in order, on the file's box count
-    less the constant-zero boxes seen."""
+    less the constant-zero boxes seen.  The cost is built only after the
+    guards pass."""
     if not isinstance(data, dict):
         raise ParseError(f"instance must be an object, got {type(data).__name__}")
     if data.get("format", FORMAT) != FORMAT:
@@ -171,7 +212,6 @@ def instance_from_json(data: dict, *, guards: tuple[str, ...] = ()) -> Instance:
     items = _require(data, "boxes", "instance")
     if not isinstance(items, list):
         raise ParseError(f"instance: boxes must be a list, got {type(items).__name__}")
-    cost = cost_from_json(cost_data, boxes=len(items))
     cap = min(map(bound, guards), default=len(items))
     entries, zeros = [], 0
     for item in items:
@@ -187,12 +227,13 @@ def instance_from_json(data: dict, *, guards: tuple[str, ...] = ()) -> Instance:
             break
     labels = sorted([label for label, _ in entries]
                     + [_box_label(item) for item in items[len(entries):]])
-    if labels != list(cost.ground):
-        raise ParseError(f"box labels {_preview(labels)} do not match "
-                         f"cost ground {_preview(list(cost.ground))}")
     if len(entries) - zeros > cap:
         for kind in guards:
             guard(kind, len(items) - zeros)
+    cost = cost_from_json(cost_data, boxes=len(items))
+    if labels != list(cost.ground):
+        raise ParseError(f"box labels {_preview(labels)} do not match "
+                         f"cost ground {_preview(list(cost.ground))}")
 
     entries.sort(key=lambda pair: pair[0])
     kept = [(label, box) for label, box in entries if not box.is_constant_zero()]

@@ -25,6 +25,7 @@ from .costs import (
 from .errors import DomainError
 from .instances import FiniteDistribution, Instance, bernoulli
 from .rationals import rat
+from .serialize import cost_to_json
 from .solvers import _tail_root, _threshold_dp
 from .strategies import FixedOrderThresholds, ImpulsiveStrategy, eval_fixed_order, eval_impulsive
 
@@ -289,7 +290,7 @@ def check_preservation(instance: Instance, cls: str) -> ClassReport:
                 "certificate": str(cert.eval(witness)),
                 "lifted": str(lifted.cost.eval(witness)),
             })
-        return ClassReport("coverage", True, {"certificate": cert.spec()})
+        return ClassReport("coverage", True, {"certificate": cost_to_json(cert)})
     if cls == "xos":
         if not isinstance(instance.cost, XosCost):
             raise DomainError("xos preservation needs an XosCost instance")
@@ -297,7 +298,7 @@ def check_preservation(instance: Instance, cls: str) -> ClassReport:
         ok, witness = cert.matches(lifted.cost.eval)
         if not ok:
             return ClassReport("xos", False, {"S": sorted(witness)})
-        return ClassReport("xos", True, {"certificate": cert.spec()})
+        return ClassReport("xos", True, {"certificate": cost_to_json(cert)})
     if cls == "budget_additive":
         if not isinstance(instance.cost, BudgetAdditiveCost):
             raise DomainError("budget_additive preservation needs a BudgetAdditiveCost instance")

@@ -220,7 +220,8 @@ class TestSolve:
         doc = {"boxes": boxes, "cost": {"kind": "hardness", "n": 2000, "alpha": 3}}
         path = tmp_path / "shifted.json"
         path.write_text(json.dumps(doc))
-        code, data = run_json(capsys, "solve", "-i", str(path))
+        # weitzman has no size guard, so the whole file reaches the label check
+        code, data = run_json(capsys, "solve", "--class", "weitzman", "-i", str(path))
         assert code == 2
         message = data["error"]["message"]
         assert "do not match cost ground" in message
@@ -306,6 +307,38 @@ class TestSizeCapsAtLoad:
         code, data = run_json(capsys, "solve", "-i", self.write(tmp_path, boxes + [self.ONE]))
         assert code == 3
         assert "(got n = 4)" in data["error"]["message"]
+
+    @pytest.fixture
+    def costs_built(self, monkeypatch):
+        import pandora.serialize
+
+        calls = []
+        original = pandora.serialize.cost_from_json
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pandora.serialize, "cost_from_json", counted)
+        return calls
+
+    def test_refused_file_builds_no_cost(self, capsys, tmp_path, built, costs_built):
+        code, data = run_json(capsys, "solve", "-i", self.write(tmp_path, [self.ONE] * 1000))
+        assert code == 3
+        assert costs_built == []
+        code, data = run_json(capsys, "solve", "-i", self.write(tmp_path, [self.ONE] * 3))
+        assert code == 0
+        assert costs_built == [1]
+
+    def test_label_mismatch_past_the_cap_is_refused(self, capsys, tmp_path, built, costs_built):
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps({
+            "boxes": [{"label": 100 + b, **self.ONE} for b in range(1, 21)],
+            "cost": {"kind": "hardness", "n": 20, "alpha": 3}}))
+        code, data = run_json(capsys, "solve", "-i", str(path))
+        assert code == 3
+        assert data["error"]["type"] == "capability"
+        assert costs_built == []
 
     def test_past_the_cap_only_labels_are_read(self, capsys, tmp_path, built):
         boxes = [self.ONE] * 20

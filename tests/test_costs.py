@@ -7,6 +7,7 @@ from pandora import (
     AdditiveCost,
     BudgetAdditiveCost,
     CapabilityError,
+    CostOracle,
     CoverageCost,
     DomainError,
     ExplicitCost,
@@ -308,6 +309,17 @@ def _every_kind():
         "xos_sparse_clauses": XosCost([1, 2, 3, 4], [{}, {4: "5/3"}, {1: "1/2", 3: 1},
                                                      {2: 1, 4: "1/3"}]),
     }
+
+
+def test_every_kind_is_listed():
+    # a kind missing here would escape the table and JSON round-trip tests
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    listed = {type(cost) for cost in _every_kind().values()}
+    assert {cls for cls in subclasses(CostOracle) if cls.__module__ == "pandora.costs"} <= listed
 
 
 def _assert_ints_are_eval(cost, table):

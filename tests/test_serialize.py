@@ -5,20 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pandora import (
-    AdditiveCost,
-    BudgetAdditiveCost,
     CapabilityError,
-    CoverageCost,
     DomainError,
     FixedOrderThresholds,
-    HardnessCost,
     ImpulsiveStrategy,
     ImpulsiveWithDummies,
     INF,
     ParseError,
     PolicyTree,
-    TreeClosureCost,
-    XosCost,
     bernoullify,
     digest_instance,
     dumps_instance,
@@ -37,6 +31,7 @@ from pandora import (
     xos_lift_of,
 )
 from pandora.serialize import cost_from_json, cost_to_json
+from test_costs import _every_kind
 
 seeds = st.integers(0, 2 ** 31 - 1)
 
@@ -46,22 +41,18 @@ def roundtrip(instance):
 
 
 class TestCostRoundTrips:
-    @pytest.mark.parametrize("cost", [
-        AdditiveCost({1: Fraction(1, 3), 2: 2}),
-        BudgetAdditiveCost({1: 1, 2: 1, 3: 1}, 2),
-        CoverageCost((1, 2, 3), [(Fraction(1, 2), (1, 2)), (2, (3,))]),
-        XosCost((1, 2), [{1: Fraction(3, 2)}, {1: 1, 2: 1}]),
-        TreeClosureCost({1: 0, 2: 1, 3: 1}, {1: 1, 2: Fraction(1, 2), 3: 2}),
-        HardnessCost(5, 3, 1),
-        HardnessCost(5, 3, 1, frozenset({1, 2, 5})),
-    ], ids=["additive", "budget", "coverage", "xos", "tree",
-            "hardness", "hardness_planted"])
-    def test_all_kinds(self, cost):
+    @pytest.mark.parametrize("kind", sorted(_every_kind()))
+    def test_all_kinds(self, kind):
+        cost = _every_kind()[kind]
+        if kind == "counting":
+            with pytest.raises(NotImplementedError, match="QueryCountingOracle has no serial form"):
+                cost_to_json(cost)
+            return
         again = cost_from_json(json.loads(json.dumps(cost_to_json(cost))))
         assert type(again) is type(cost)
         assert again.ground == cost.ground
-        for S in _all_subsets(cost.ground):
-            assert again.eval(S) == cost.eval(S)
+        assert again.table().ints == cost.table().ints
+        assert again.table().D == cost.table().D
 
     def test_explicit_and_projection(self):
         inst = subadditive4()
@@ -76,8 +67,6 @@ class TestCostRoundTrips:
     def test_written_json_is_pinned(self):
         # key order too: no sort_keys
         import hashlib
-
-        from test_costs import _every_kind
 
         kinds = _every_kind()
         doc = json.dumps([cost_to_json(kinds[k]) for k in sorted(kinds) if k != "counting"])
@@ -113,6 +102,8 @@ class TestCostRoundTrips:
             cost_from_json({"kind": "additive", "per_box": {"1": "not-a-number"}})
         with pytest.raises(ParseError, match="malformed coverage"):
             cost_from_json({"kind": "coverage", "ground": [float("inf")], "elements": []})
+        with pytest.raises(ParseError, match="malformed tree"):    # a node outside the tree too
+            cost_from_json({"kind": "tree", "parent": {"1": 0}, "node_costs": {"1": "2", "5": "x"}})
 
 
 def _all_subsets(ground):

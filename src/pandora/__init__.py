@@ -86,8 +86,6 @@ from .solvers import (
 from .strategies import (
     FixedOrderThresholds,
     ImpulsiveStrategy,
-    ImpulsiveWithDummies,
-    MarginalUtilityContext,
     PolicyTree,
     dummy_mixture,
     eval_fixed_order,
@@ -114,9 +112,8 @@ __all__ = [
     "CoverageCost", "DiscretizationParams", "DistinguishReport",
     "DomainError", "ENTRIES", "ExplicitCost", "FamilyReport",
     "FiniteDistribution", "FixedOrderThresholds", "GapReport",
-    "HardnessCost", "HardnessParams", "INF", "ImpulsiveStrategy",
-    "ImpulsiveWithDummies", "Instance",
-    "MarginalUtilityContext", "PandoraError", "ParseError", "PolicyTree",
+    "HardnessCost", "HardnessParams", "INF", "ImpulsiveStrategy", "Instance",
+    "PandoraError", "ParseError", "PolicyTree",
     "ProjectionCost", "QueryCountingOracle", "SuiteReport", "THEOREMS",
     "TreeClosureCost", "VALIDATORS", "XosCost",
     "adaptivity_gap", "bernoulli", "bernoullify", "budget_counterexample",

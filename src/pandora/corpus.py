@@ -20,7 +20,7 @@ from typing import Callable
 from .classes import validate_class
 from .costs import BudgetAdditiveCost, CoverageCost, HardnessCost, XosCost, _labels_of, _masks_by_size
 from .errors import DomainError
-from .hardness import hardness_params, symmetric_impulsive_utility_exact
+from .hardness import MAX_TRIALS, hardness_params, symmetric_impulsive_utility_exact
 from .instances import (
     FiniteDistribution,
     Instance,
@@ -42,8 +42,6 @@ from .solvers import (
 )
 from .strategies import (
     ImpulsiveStrategy,
-    ImpulsiveWithDummies,
-    MarginalUtilityContext,
     PolicyTree,
     eval_impulsive,
     marginal_utility,
@@ -77,7 +75,7 @@ class CorpusEntry:
     name: str
     build: Callable[[], Instance]
     expected: tuple[Expectation, ...]
-    checks: tuple[str, ...] = ()
+    checks: tuple[Callable[[Instance], tuple[bool, str, str]], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -175,7 +173,7 @@ def _check_xos_certificate(instance: Instance):
     )
 
 
-def _check_hardness_planted(instance: Instance):
+def _check_hardness_planted_utility(instance: Instance):
     params = hardness_params(6, alpha=4, beta=1)
     want = symmetric_impulsive_utility_exact(params, 4, "planted_subsetR")
     got = eval_impulsive(instance, (1, 2, 3, 4))
@@ -193,17 +191,6 @@ def _check_hardness_agreement(instance: Instance):
     return True, "agree iff |S & R| <= beta", "64/64 subsets"
 
 
-_CHECKS = {
-    "example1_tree": _check_example1_tree,
-    "strict_adaptive_gap": _check_strict_adaptive_gap,
-    "weitzman_rejected": _check_weitzman_rejected,
-    "negative_reservation": _check_negative_reservation,
-    "subadditive_not_submodular": _check_subadditive_not_submodular,
-    "xos_certificate": _check_xos_certificate,
-    "hardness_planted_utility": _check_hardness_planted,
-    "hardness_agreement": _check_hardness_agreement,
-}
-
 ENTRIES: tuple[CorpusEntry, ...] = (
     CorpusEntry(
         name="example1",
@@ -212,7 +199,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
             Expectation("adaptive", rat("21/2"), recomputed("policy-dp")),
             Expectation("fixed_order", rat(10), recomputed("order-scan")),
         ),
-        checks=("example1_tree", "strict_adaptive_gap"),
+        checks=(_check_example1_tree, _check_strict_adaptive_gap),
     ),
     CorpusEntry(
         name="unit_demand_pair",
@@ -221,7 +208,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
             Expectation("impulsive", rat("1/9"), PUBLISHED),
             Expectation("adaptive", rat("1/9"), recomputed("policy-dp")),
         ),
-        checks=("weitzman_rejected", "negative_reservation"),
+        checks=(_check_weitzman_rejected, _check_negative_reservation),
     ),
     CorpusEntry(
         name="subadditive4",
@@ -229,19 +216,19 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         expected=(
             Expectation("adaptive", rat("4253/120"), recomputed("policy-dp")),
         ),
-        checks=("strict_adaptive_gap", "subadditive_not_submodular"),
+        checks=(_check_strict_adaptive_gap, _check_subadditive_not_submodular),
     ),
     CorpusEntry(
         name="xos_lift_example1",
         build=lambda: xos_lift_of(example1()),
         expected=(),
-        checks=("strict_adaptive_gap", "xos_certificate"),
+        checks=(_check_strict_adaptive_gap, _check_xos_certificate),
     ),
     CorpusEntry(
         name="hardness_planted_n6",
         build=lambda: hardness_instance(6, "planted", alpha=4, beta=1),
         expected=(),
-        checks=("hardness_planted_utility", "hardness_agreement"),
+        checks=(_check_hardness_planted_utility, _check_hardness_agreement),
     ),
 )
 
@@ -268,11 +255,11 @@ def run_corpus() -> CorpusReport:
                 got=str(got),
                 provenance=exp.provenance,
             ))
-        for name in entry.checks:
-            ok, expected, got = _CHECKS[name](instance)
+        for check in entry.checks:
+            ok, expected, got = check(instance)
             results.append(CheckResult(
                 entry=entry.name,
-                kind=f"check:{name}",
+                kind="check:" + check.__name__.removeprefix("_check_"),
                 passed=ok,
                 expected=expected,
                 got=got,
@@ -358,13 +345,11 @@ def _l35_trial(rng: random.Random, t: int, failures: list) -> None:
     A = frozenset(b for b, flag in zip(order, in_a) if flag)
     B = frozenset(order) - A
     pi = ImpulsiveStrategy(order)
-    pi_a = ImpulsiveWithDummies(pi, A)
-    pi_b = ImpulsiveWithDummies(pi, B)
-    whole = MarginalUtilityContext(r, frozenset())
-    given_b = MarginalUtilityContext(r, B)
-    lhs = marginal_utility("N", pi, whole, inst)
-    rhs = (marginal_utility("N", pi_a, given_b, inst)
-           + marginal_utility("N", pi_b, whole, inst))
+    pi_a = ImpulsiveStrategy(order, A)
+    pi_b = ImpulsiveStrategy(order, B)
+    lhs = marginal_utility("N", pi, r, inst)
+    rhs = (marginal_utility("N", pi_a, r, inst, B)
+           + marginal_utility("N", pi_b, r, inst))
     if not lhs <= rhs:
         _fail(failures, t, "dummy-split",
               f"u_N({order}) = {lhs} > {rhs} with A={sorted(A)}, B={sorted(B)}, r={r}", inst)
@@ -476,13 +461,12 @@ def _chain_trial(rng: random.Random, t: int, failures: list) -> None:
     size = rng.randint(0, len(rest))
     order = tuple(rng.sample(rest, size))
     opened = frozenset(b for b in order if rng.random() < 0.7)
-    strat = ImpulsiveWithDummies(ImpulsiveStrategy(order), opened)
+    strat = ImpulsiveStrategy(order, opened)
     free = [b for b in rest if b not in opened]
     T = frozenset(b for b in free if rng.random() < 0.3)
-    ctx = MarginalUtilityContext(r, T)
-    u_n = marginal_utility("N", strat, ctx, inst)
-    u_y = marginal_utility("Y", strat, ctx, inst)
-    u_m = marginal_utility("M", strat, ctx, inst)
+    u_n = marginal_utility("N", strat, r, inst, T)
+    u_y = marginal_utility("Y", strat, r, inst, T)
+    u_m = marginal_utility("M", strat, r, inst, T)
     if not u_m <= u_y <= u_n:
         _fail(failures, t, "ordering-chain",
               f"u_M={u_m}, u_Y={u_y}, u_N={u_n} (r={r}, T={sorted(T)}, pi={order})", inst)
@@ -514,8 +498,8 @@ def run_theorem_suite(theorem: str, trials: int, seed: int) -> SuiteReport:
     """Seeded randomized verification; identical seeds give identical reports."""
     if theorem not in _SUITES:
         raise DomainError(f"unknown theorem {theorem!r}; choose from {THEOREMS}")
-    if trials < 1:
-        raise DomainError(f"need at least one trial, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise DomainError(f"need at least one trial and at most {MAX_TRIALS}, got {trials}")
     rng = random.Random(seed)
     failures: list[dict] = []
     runner, note = _SUITES[theorem]

@@ -464,6 +464,8 @@ class ProjectionCost(CostOracle):
     many-to-one, in which case a second copy of an already-present box is
     free -- exactly the lifted-cost behavior the Bernoulli transformation
     needs.  With an injective map this is a plain restriction/renumbering.
+    A projection of a projection is composed into one, so `inner` is never
+    itself a projection.
     """
 
     def __init__(self, ground: Iterable[int], label_map: Mapping[int, int], inner: CostOracle):
@@ -475,6 +477,9 @@ class ProjectionCost(CostOracle):
         if not image <= inner._members:
             raise DomainError("label map leaves the inner ground set")
         self.label_map = {b: label_map[b] for b in self.ground}
+        if isinstance(inner, ProjectionCost):
+            self.label_map = {b: inner.label_map[a] for b, a in self.label_map.items()}
+            inner = inner.inner
         self.inner = inner
 
     def _value(self, S: BoxSet) -> Fraction:

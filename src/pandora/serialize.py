@@ -38,7 +38,6 @@ from .rationals import fmt, parse_extended, rat
 from .strategies import (
     FixedOrderThresholds,
     ImpulsiveStrategy,
-    ImpulsiveWithDummies,
     PolicyTree,
 )
 
@@ -49,7 +48,8 @@ VERSION = 1
 # or lifted instance) it has more labels than boxes, so this bounds its n.
 MAX_NESTED_HARDNESS_N = 1 << 16
 # Projections nested deeper than this are refused before any cost is built:
-# evaluation recurses once per level.  Transforms and the loader nest a few.
+# the reader recurses once per level.  A built projection of a projection is
+# composed into one, so nothing this package writes nests.
 MAX_NESTING = 64
 
 
@@ -311,8 +311,8 @@ def digest_instance(instance: Instance) -> str:
 
 def strategy_to_json(strategy) -> dict:
     if isinstance(strategy, ImpulsiveStrategy):
-        return {"kind": "impulsive", "order": list(strategy.order)}
-    if isinstance(strategy, ImpulsiveWithDummies):
+        if len(strategy.opened) == len(strategy.order):
+            return {"kind": "impulsive", "order": list(strategy.order)}
         return {
             "kind": "impulsive_with_dummies",
             "order": list(strategy.order),
@@ -346,8 +346,8 @@ def strategy_from_json(data: dict):
         if kind == "impulsive":
             return ImpulsiveStrategy(tuple(int(b) for b in _require(data, "order", kind)))
         if kind == "impulsive_with_dummies":
-            base = ImpulsiveStrategy(tuple(int(b) for b in _require(data, "order", kind)))
-            return ImpulsiveWithDummies(base, frozenset(int(b) for b in _require(data, "opened", kind)))
+            return ImpulsiveStrategy(tuple(int(b) for b in _require(data, "order", kind)),
+                                     frozenset(int(b) for b in _require(data, "opened", kind)))
         if kind == "fixed_order":
             return FixedOrderThresholds(
                 tuple(int(b) for b in _require(data, "sigma", kind)),

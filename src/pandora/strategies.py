@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .costs import marginal_cost
 from .errors import DomainError
@@ -25,14 +25,28 @@ ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class ImpulsiveStrategy:
-    """An ordered tuple of distinct boxes; empty means "halt immediately"."""
+    """An ordered tuple of distinct boxes; empty means "halt immediately".
+
+    Only the boxes in `opened` (by default every slot) are inspected.  A slot
+    outside `opened` is a dummy: the strategy halts there with the box's
+    probability but never opens the box (so it pays nothing and cannot
+    collect the value).  Dummies turn one tuple into a distribution over
+    plain impulsive prefixes -- see `dummy_mixture`.
+    """
 
     order: tuple[int, ...]
+    opened: frozenset[int] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "order", tuple(self.order))
-        if len(set(self.order)) != len(self.order):
-            raise DomainError(f"repeated box in impulsive order {self.order}")
+        order = tuple(self.order)
+        members = frozenset(order)
+        if len(members) != len(order):
+            raise DomainError(f"repeated box in impulsive order {order}")
+        opened = members if self.opened is None else frozenset(self.opened)
+        if not opened <= members:
+            raise DomainError(f"opened set {sorted(opened)} is not a subset of the order {order}")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "opened", opened)
 
     def __len__(self) -> int:
         return len(self.order)
@@ -41,39 +55,11 @@ class ImpulsiveStrategy:
         return iter(self.order)
 
 
-@dataclass(frozen=True)
-class ImpulsiveWithDummies:
-    """An impulsive tuple where only the boxes in `opened` are inspected.
-
-    A slot outside `opened` is a dummy: the strategy halts there with the
-    box's probability but never opens the box (so it pays nothing and cannot
-    collect the value).  Dummies turn one tuple into a distribution over
-    plain impulsive prefixes -- see `dummy_mixture`.
-    """
-
-    base: ImpulsiveStrategy
-    opened: frozenset[int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "opened", frozenset(self.opened))
-        if not self.opened <= set(self.base.order):
-            raise DomainError(
-                f"opened set {sorted(self.opened)} is not a subset of the order {self.base.order}"
-            )
-
-    @property
-    def order(self) -> tuple[int, ...]:
-        return self.base.order
-
-
-def _as_dummies(strategy) -> ImpulsiveWithDummies:
-    if isinstance(strategy, ImpulsiveWithDummies):
-        return strategy
+def _as_impulsive(strategy) -> ImpulsiveStrategy:
     if isinstance(strategy, ImpulsiveStrategy):
-        return ImpulsiveWithDummies(strategy, frozenset(strategy.order))
+        return strategy
     if isinstance(strategy, (tuple, list)):
-        base = ImpulsiveStrategy(tuple(strategy))
-        return ImpulsiveWithDummies(base, frozenset(base.order))
+        return ImpulsiveStrategy(tuple(strategy))
     raise DomainError(f"not an impulsive strategy: {strategy!r}")
 
 
@@ -126,19 +112,6 @@ class PolicyTree:
         raise DomainError(f"no child for observed value {value} under box {self.box}")
 
 
-@dataclass(frozen=True)
-class MarginalUtilityContext:
-    """The scenario behind u_N / u_Y / u_M: a Bernoulli root box r that was
-    already opened (its cost is sunk), and a set T of further boxes treated
-    as already opened for cost purposes."""
-
-    root: int
-    T: frozenset[int] = frozenset()
-
-    def __post_init__(self):
-        object.__setattr__(self, "T", frozenset(self.T))
-
-
 def _slots(instance: Instance, strategy) -> list[tuple[int, bool, Fraction, Fraction]]:
     """(box, opened, v, p) per slot of an impulsive strategy, in order.
 
@@ -147,7 +120,7 @@ def _slots(instance: Instance, strategy) -> list[tuple[int, bool, Fraction, Frac
     """
     if not instance.is_bernoulli():
         raise DomainError("this operation needs a weighted-Bernoulli instance")
-    s = _as_dummies(strategy)
+    s = _as_impulsive(strategy)
     boxes = dict(zip(instance.labels, instance.boxes))
     slots = []
     for b in s.order:
@@ -183,9 +156,12 @@ def pq_of(strategy, instance: Instance) -> tuple[Fraction, Fraction]:
 _KINDS = ("N", "Y", "M")
 
 
-def marginal_utility(kind: str, strategy, ctx: MarginalUtilityContext,
-                     instance: Instance) -> Fraction:
+def marginal_utility(kind: str, strategy, root: int, instance: Instance,
+                     T: Iterable[int] = frozenset()) -> Fraction:
     """u_N / u_Y / u_M of an impulsive strategy given (root r, conditioning T).
+
+    The scenario: the Bernoulli root box r was already opened (its cost is
+    sunk), and the boxes in T count as already opened for cost purposes.
 
     Per-slot expansion: an opened slot j contributes
         (prod of q over all earlier slots) * (p_j * g(v_j) - c(j | {r} u T u P_j))
@@ -198,13 +174,14 @@ def marginal_utility(kind: str, strategy, ctx: MarginalUtilityContext,
     if kind not in _KINDS:
         raise DomainError(f"kind must be one of {_KINDS}, got {kind!r}")
     slots = _slots(instance, strategy)
-    if any(box == ctx.root for box, _, _, _ in slots):
-        raise DomainError(f"root box {ctx.root} appears in the strategy")
-    overlap = ctx.T & {box for box, is_open, _, _ in slots if is_open}
+    if any(box == root for box, _, _, _ in slots):
+        raise DomainError(f"root box {root} appears in the strategy")
+    T = frozenset(T)
+    overlap = T & {box for box, is_open, _, _ in slots if is_open}
     if overlap:
         raise DomainError(f"conditioning set overlaps opened boxes on {sorted(overlap)}")
-    v_r, _ = instance.bernoulli(ctx.root)
-    base = {ctx.root} | ctx.T
+    v_r, _ = instance.bernoulli(root)
+    base = {root} | T
     prefix = ONE
     total = ZERO
     opened_before: set[int] = set()
@@ -256,13 +233,14 @@ def eval_impulsive(instance: Instance, strategy) -> Fraction:
     v_j and pays c(first j boxes); the all-zeros outcome pays for the whole
     tuple and collects nothing.
     """
-    if isinstance(strategy, ImpulsiveWithDummies):
+    s = _as_impulsive(strategy)
+    if len(s.opened) < len(s.order):
         raise DomainError("resolve dummies via dummy_mixture before evaluating")
     cost = instance.cost
     prefix = ONE
     total = ZERO
     opened: list[int] = []
-    for box, _, v, p in _slots(instance, strategy):
+    for box, _, v, p in _slots(instance, s):
         opened.append(box)
         total += prefix * p * (v - cost.eval(opened))
         prefix *= 1 - p
@@ -271,32 +249,39 @@ def eval_impulsive(instance: Instance, strategy) -> Fraction:
 
 
 def eval_fixed_order(instance: Instance, s: FixedOrderThresholds) -> Fraction:
-    """Exact utility of a fixed-order threshold strategy on any finite instance."""
+    """Exact utility of a fixed-order threshold strategy on any finite instance.
+
+    One forward pass over the rounds carries the law of the running max on
+    reaching round i, {best: probability}.  States with best >= t_i halt
+    and collect best; the rest pay the round's marginal cost and fold in
+    the box's atoms.  The prefix cost is read once per round reached (costs
+    are normalized, so the empty prefix costs 0).
+    """
     if set(s.sigma) != set(instance.labels):
         raise DomainError(f"sigma {s.sigma} is not a permutation of {instance.labels}")
-    n = len(s.sigma)
     cost = instance.cost
-    memo: dict[tuple[int, Fraction], Fraction] = {}
-
-    def go(i: int, best: Fraction) -> Fraction:
-        # expected (final value - remaining cost) on reaching round i with
-        # running max `best`, before the round-i halting check
-        if i >= n:
-            return best
-        if best >= s.thresholds[i]:
-            return best
-        key = (i, best)
-        hit = memo.get(key)
-        if hit is None:
-            box = s.sigma[i]
-            marg = cost.eval(s.sigma[: i + 1]) - cost.eval(s.sigma[:i])
-            out = -marg
-            for v, p in instance.box(box).atoms:
-                out += p * go(i + 1, max(best, v))
-            memo[key] = hit = out
-        return hit
-
-    return go(0, ZERO)
+    law = {ZERO: ONE}
+    total = ZERO
+    spent = ZERO
+    for i, (box, t) in enumerate(zip(s.sigma, s.thresholds)):
+        live = {}
+        for best, p in law.items():
+            if best >= t:
+                total += best * p
+            else:
+                live[best] = p
+        if not live:
+            return total
+        prefix = cost.eval(s.sigma[: i + 1])
+        total -= (prefix - spent) * sum(live.values())
+        spent = prefix
+        atoms = instance.box(box).atoms
+        law = {}
+        for best, p in live.items():
+            for v, q in atoms:
+                m = max(best, v)
+                law[m] = law.get(m, ZERO) + p * q
+    return total + sum(best * p for best, p in law.items())
 
 
 def eval_policy(instance: Instance, tree: PolicyTree) -> Fraction:

@@ -236,8 +236,6 @@ def _lifted_xos_certificate(bmap: BernoullificationMap) -> XosCost:
         # one lifted clause per way of charging each box to one of its copies
         for choice in itertools.product(*(copies[i] for i in support)):
             clauses.append({lab: clause[i] for i, lab in zip(support, choice)})
-    if not clauses:
-        clauses = [{}]
     return XosCost(bmap.lifted.labels, clauses)
 
 

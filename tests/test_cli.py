@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -66,6 +67,19 @@ class TestSolve:
         assert code == 2
         assert data["error"]["type"] == "domain"
         assert "additive" in data["error"]["message"]
+
+    def test_weitzman_on_1500_boxes(self, capsys, tmp_path):
+        # identical boxes (10 w.p. 1/2, cost 1 each): Weitzman opens until the
+        # first 10, so every one of the 1500 rounds is reached; the utility is
+        # sum_i 2^-i * (5 - 1) = 8 - 2^(3 - n)
+        n = 1500
+        path = tmp_path / "additive.json"
+        path.write_text(json.dumps({
+            "boxes": [{"label": b, "atoms": [["0", "1/2"], ["10", "1/2"]]} for b in range(1, n + 1)],
+            "cost": {"kind": "additive", "per_box": {str(b): "1" for b in range(1, n + 1)}}}))
+        code, data = run_json(capsys, "solve", "--class", "weitzman", "-i", str(path))
+        assert code == 0
+        assert rat(data["utility"]) == 8 - Fraction(8, 2 ** n)
 
     def test_stdin_instance(self, capsys, monkeypatch):
         import io
@@ -479,6 +493,18 @@ class TestTransform:
             [1, 2], [1, 3], [2, 1], [3, 2], [4, 2]]
         assert data["instance"]["cost"]["kind"] == "projection"
 
+    @pytest.mark.parametrize("steps", [70, 1200])
+    def test_repeated_bernoullify_stays_one_projection(self, capsys, tmp_path, unit_demand_path, steps):
+        code, data = run_json(capsys, "transform", *["bernoullify"] * steps, "-i", unit_demand_path)
+        assert code == 0
+        cost = data["instance"]["cost"]
+        assert cost["kind"] == "projection" and cost["inner"]["kind"] == "coverage"
+        path = tmp_path / "lifted.json"
+        path.write_text(json.dumps(data["instance"]))
+        code, data = run_json(capsys, "solve", "-i", str(path))
+        assert code == 0
+        assert data["utility"] == "1/9"
+
 
 class TestHardness:
     def test_params(self, capsys):
@@ -563,6 +589,13 @@ class TestCorpusAndVerify:
     def test_verify_unknown_theorem_is_usage(self, capsys):
         code, out = run(capsys, "verify", "--theorem", "T99")
         assert code == 2
+
+    @pytest.mark.parametrize("trials", ["0", "100001", str(10 ** 12)])
+    def test_verify_trials_are_bounded(self, capsys, trials):
+        code, data = run_json(capsys, "verify", "--theorem", "cancellation", "--trials", trials)
+        assert code == 2
+        assert data["error"] == {"type": "domain", "message":
+                                 f"need at least one trial and at most 100000, got {trials}"}
 
 
 class TestPlumbing:

@@ -239,6 +239,19 @@ def test_projection_restriction_and_free_copies():
     assert c.ground == (10, 11, 12)
 
 
+def test_projection_of_a_projection_is_composed():
+    inner = CoverageCost([1, 2, 3], [(4, [1, 2]), (1, [3]), ("1/2", [2, 3])])
+    middle = ProjectionCost([5, 7, 9, 11], {5: 3, 7: 1, 9: 3, 11: 2}, inner)
+    outer_map = {20: 5, 21: 7, 22: 9, 23: 11, 24: 7}
+    outer = ProjectionCost(outer_map, outer_map, middle)
+    assert outer.inner is inner
+    assert outer.label_map == {20: 3, 21: 1, 22: 3, 23: 2, 24: 1}
+    table = outer.table()
+    for mask in range(1 << outer.arity):
+        S = [b for i, b in enumerate(outer.ground) if mask >> i & 1]
+        assert table[mask] == middle.eval({outer_map[b] for b in S}), S
+
+
 def test_query_counter_counts_every_eval():
     counted = QueryCountingOracle(AdditiveCost([1, 1]))
     assert counted.count == 0

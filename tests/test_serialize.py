@@ -9,7 +9,6 @@ from pandora import (
     DomainError,
     FixedOrderThresholds,
     ImpulsiveStrategy,
-    ImpulsiveWithDummies,
     INF,
     ParseError,
     PolicyTree,
@@ -214,11 +213,16 @@ class TestDigest:
 class TestStrategyRoundTrips:
     def test_impulsive(self):
         s = ImpulsiveStrategy((3, 1, 2))
+        assert strategy_to_json(s) == {"kind": "impulsive", "order": [3, 1, 2]}
         assert strategy_from_json(strategy_to_json(s)) == s
+        # every slot opened is no dummy at all
+        assert strategy_to_json(ImpulsiveStrategy((3, 1, 2), {1, 2, 3})) == strategy_to_json(s)
 
     def test_impulsive_with_dummies(self):
-        s = ImpulsiveWithDummies(ImpulsiveStrategy((3, 1, 2)), {1, 3})
-        assert strategy_from_json(strategy_to_json(s)) == s
+        s = ImpulsiveStrategy((3, 1, 2), {1, 3})
+        data = strategy_to_json(s)
+        assert data == {"kind": "impulsive_with_dummies", "order": [3, 1, 2], "opened": [1, 3]}
+        assert strategy_from_json(data) == s
 
     def test_fixed_order_with_infinities(self):
         s = FixedOrderThresholds((2, 1), (INF, Fraction(-1, 2)))
@@ -318,6 +322,6 @@ class TestMalformedInputs:
         valid = [
             strategy_to_json(PolicyTree.open(1, {10: PolicyTree.open(2, {0: halt}), 0: halt})),
             strategy_to_json(FixedOrderThresholds((2, 1), (INF, Fraction(1, 2)))),
-            strategy_to_json(ImpulsiveWithDummies(ImpulsiveStrategy((3, 1, 2)), {1, 3})),
+            strategy_to_json(ImpulsiveStrategy((3, 1, 2), {1, 3})),
         ]
         _parses_or_refuses(strategy_from_json, _mutated(data.draw(st.sampled_from(valid)), data))

@@ -8,15 +8,16 @@ from pandora import (
     DomainError,
     FixedOrderThresholds,
     ImpulsiveStrategy,
-    ImpulsiveWithDummies,
-    MarginalUtilityContext,
+    Instance,
     PolicyTree,
+    QueryCountingOracle,
     dummy_mixture,
     eval_fixed_order,
     eval_impulsive,
     eval_policy,
     example1,
     marginal_utility,
+    optimal_fixed_order,
     pq_of,
     random_instance,
     rat,
@@ -47,8 +48,8 @@ def test_impulsive_rejects_repeats():
 def test_dummies_opened_must_be_subset():
     base = ImpulsiveStrategy((1, 2, 3))
     with pytest.raises(DomainError, match="subset"):
-        ImpulsiveWithDummies(base, {4})
-    s = ImpulsiveWithDummies(base, {1, 3})
+        ImpulsiveStrategy(base.order, {4})
+    s = ImpulsiveStrategy(base.order, {1, 3})
     assert s.opened == frozenset({1, 3})                  # slot 2 is a dummy
     assert s.order == (1, 2, 3)
 
@@ -59,7 +60,7 @@ class TestPq:
         p, q = pq_of((1, 2), inst)
         assert p == rat("5/9") and q == rat("4/9")
         # box 2 demoted to a dummy: it can halt the run but never pays out
-        pd, qd = pq_of(ImpulsiveWithDummies(ImpulsiveStrategy((1, 2)), {1}), inst)
+        pd, qd = pq_of(ImpulsiveStrategy((1, 2), {1}), inst)
         assert pd == rat("1/3") and qd == rat("4/9")
         assert pd < 1 - qd
 
@@ -87,59 +88,58 @@ class TestPq:
         a = frozenset(order[i] for i in range(4) if (seed >> i) & 1)
         base = ImpulsiveStrategy(order)
         p_whole, _ = pq_of(base, inst)
-        p_a, _ = pq_of(ImpulsiveWithDummies(base, a), inst)
-        p_b, _ = pq_of(ImpulsiveWithDummies(base, frozenset(order) - a), inst)
+        p_a, _ = pq_of(ImpulsiveStrategy(base.order, a), inst)
+        p_b, _ = pq_of(ImpulsiveStrategy(base.order, frozenset(order) - a), inst)
         assert p_whole == p_a + p_b
 
 
 class TestMarginalUtility:
-    def ctx_and_rest(self, inst):
+    def root_and_rest(self, inst):
         labels = inst.labels
-        return MarginalUtilityContext(labels[0]), labels[1:]
+        return labels[0], labels[1:]
 
     def test_guards(self):
         inst = unit_demand_pair()
         with pytest.raises(DomainError, match="kind"):
-            marginal_utility("Z", (2,), MarginalUtilityContext(1), inst)
+            marginal_utility("Z", (2,), 1, inst)
         with pytest.raises(DomainError, match="root"):
-            marginal_utility("N", (1, 2), MarginalUtilityContext(1), inst)
+            marginal_utility("N", (1, 2), 1, inst)
         with pytest.raises(DomainError, match="overlaps"):
-            marginal_utility("N", (2,), MarginalUtilityContext(1, {2}), inst)
+            marginal_utility("N", (2,), 1, inst, {2})
 
     def test_hand_computed_unit_demand(self):
         # root = box 1 already open; box 2 costs nothing more (coverage is hit)
         inst = unit_demand_pair()
-        ctx = MarginalUtilityContext(1)
-        assert marginal_utility("N", (2,), ctx, inst) == rat("2/3")
-        assert marginal_utility("Y", (2,), ctx, inst) == 0        # v2 never beats v1
-        assert marginal_utility("M", (2,), ctx, inst) == 0
+        assert marginal_utility("N", (2,), 1, inst) == rat("2/3")
+        assert marginal_utility("Y", (2,), 1, inst) == 0        # v2 never beats v1
+        assert marginal_utility("M", (2,), 1, inst) == 0
 
     @settings(max_examples=50, deadline=None)
     @given(seeds)
     def test_kind_ordering_and_m_identity(self, seed):
         inst = bern_instance(seed, n=4)
-        ctx, rest = self.ctx_and_rest(inst)
+        root, rest = self.root_and_rest(inst)
         order = rest[: (seed % 3) + 1]
-        u_n = marginal_utility("N", order, ctx, inst)
-        u_y = marginal_utility("Y", order, ctx, inst)
-        u_m = marginal_utility("M", order, ctx, inst)
+        u_n = marginal_utility("N", order, root, inst)
+        u_y = marginal_utility("Y", order, root, inst)
+        u_m = marginal_utility("M", order, root, inst)
         assert u_m <= u_y <= u_n
         p, _ = pq_of(order, inst)
-        v_r, _ = inst.bernoulli(ctx.root)
+        v_r, _ = inst.bernoulli(root)
         assert u_m == u_n - p * v_r
 
     @settings(max_examples=40, deadline=None)
     @given(seeds)
     def test_agrees_with_dummy_mixture(self, seed):
         inst = bern_instance(seed, n=4)
-        ctx, rest = self.ctx_and_rest(inst)
+        root, rest = self.root_and_rest(inst)
         base = ImpulsiveStrategy(rest)
         opened = frozenset(b for i, b in enumerate(rest) if (seed >> i) & 1)
-        s = ImpulsiveWithDummies(base, opened)
+        s = ImpulsiveStrategy(base.order, opened)
         for kind in ("N", "Y", "M"):
-            direct = marginal_utility(kind, s, ctx, inst)
+            direct = marginal_utility(kind, s, root, inst)
             mixed = sum(
-                (w * marginal_utility(kind, part, ctx, inst)
+                (w * marginal_utility(kind, part, root, inst)
                  for part, w in dummy_mixture(s, inst)),
                 Fraction(0),
             )
@@ -149,7 +149,7 @@ class TestMarginalUtility:
 def test_dummy_mixture_is_a_distribution():
     inst = bern_instance(17, n=4)
     base = ImpulsiveStrategy(inst.labels)
-    s = ImpulsiveWithDummies(base, frozenset(inst.labels[1:2]))
+    s = ImpulsiveStrategy(base.order, frozenset(inst.labels[1:2]))
     parts = dummy_mixture(s, inst)
     assert sum(w for _, w in parts) == 1
     assert all(w > 0 for _, w in parts)
@@ -161,7 +161,7 @@ def test_dummy_mixture_is_a_distribution():
 
 @pytest.mark.parametrize("call", [
     lambda inst, s: pq_of(s, inst),
-    lambda inst, s: marginal_utility("N", s, MarginalUtilityContext(2), inst),
+    lambda inst, s: marginal_utility("N", s, 2, inst),
     lambda inst, s: dummy_mixture(s, inst),
     lambda inst, s: eval_impulsive(inst, s),
 ], ids=["pq_of", "marginal_utility", "dummy_mixture", "eval_impulsive"])
@@ -183,7 +183,7 @@ class TestEvalImpulsive:
 
     def test_rejects_unresolved_dummies(self):
         inst = unit_demand_pair()
-        s = ImpulsiveWithDummies(ImpulsiveStrategy((1, 2)), {1})
+        s = ImpulsiveStrategy((1, 2), {1})
         with pytest.raises(DomainError, match="dummy_mixture"):
             eval_impulsive(inst, s)
 
@@ -217,6 +217,17 @@ class TestEvalFixedOrder:
         inst = example1()
         s = FixedOrderThresholds((3, 1, 2), (INF, Fraction(10), Fraction(10)))
         assert eval_fixed_order(inst, s) == 10
+
+    def test_one_prefix_query_per_round_reached(self):
+        inst = random_instance("general_coverage", 6, 5)
+        best, utility = optimal_fixed_order(inst)
+        never = FixedOrderThresholds(best.sigma, (INF,) * 6)
+        # the optimal order halts every run before its fifth round
+        for s, rounds in [(best, 4), (never, 6)]:
+            counted = Instance(inst.boxes, QueryCountingOracle(inst.cost))
+            assert eval_fixed_order(counted, s) == fixed_order_utility(inst, s)
+            assert counted.cost.count == rounds
+        assert fixed_order_utility(inst, best) == utility
 
     @settings(max_examples=40, deadline=None)
     @given(seeds, st.integers(0, 3 ** 4 - 1))

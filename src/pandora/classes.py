@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import gt, sub
 
-from .costs import CostOracle, _check_monotone_normalized, _labels_of
+from .costs import CostOracle, _check_monotone_normalized, _halves, _insert_bit, _labels_of
 from .errors import DomainError
 from .limits import guard
 
@@ -43,26 +44,35 @@ def _check_submodular(labels, vals, D) -> dict | None:
     # x, j outside A.  Equivalent to the definitional "c(x|B) <= c(x|A) for
     # all A <= B, x outside B" (chain the one-step drops along B - A), and
     # quadratic instead of exponential in the number of set pairs.  The
-    # condition is symmetric in x and j, so each pair is tried once, x < j:
-    # the least x in a violating pair, with its least partner, is still the
-    # first violation in (x, j) order.
+    # condition is symmetric in x and j, so each pair is tried once, x < j.
+    # Per x: its marginals over the masks without x, in mask order; per j:
+    # the halves of that list without and with j, compared at once.  The
+    # witness is the least violating (A, x, j), the first a scan by mask,
+    # then x, then j would meet.
     n = len(labels)
-    for mask in range(1 << n):
-        free = [i for i in range(n) if not mask >> i & 1]
-        for a, i in enumerate(free):
-            with_i = vals[mask | 1 << i]
-            for j in free[a + 1:]:
-                bigger = mask | 1 << j
-                if vals[bigger | 1 << i] + vals[mask] > with_i + vals[bigger]:
-                    return {
-                        "reason": "marginal grows",
-                        "x": labels[i],
-                        "A": _labels_of(mask, labels),
-                        "B": _labels_of(bigger, labels),
-                        "c_x_given_A": str(Fraction(with_i - vals[mask], D)),
-                        "c_x_given_B": str(Fraction(vals[bigger | 1 << i] - vals[bigger], D)),
-                    }
-    return None
+    first = None
+    for i in range(n):
+        without_i, with_i = _halves(vals, i)
+        margin = list(map(sub, with_i, without_i))
+        for j in range(i + 1, n):
+            without_j, with_j = _halves(margin, j - 1)
+            grows = list(map(gt, with_j, without_j))
+            if True in grows:
+                mask = _insert_bit(_insert_bit(grows.index(True), j - 1), i)
+                if first is None or (mask, i, j) < first:
+                    first = mask, i, j
+    if first is None:
+        return None
+    mask, i, j = first
+    bigger = mask | 1 << j
+    return {
+        "reason": "marginal grows",
+        "x": labels[i],
+        "A": _labels_of(mask, labels),
+        "B": _labels_of(bigger, labels),
+        "c_x_given_A": str(Fraction(vals[mask | 1 << i] - vals[mask], D)),
+        "c_x_given_B": str(Fraction(vals[bigger | 1 << i] - vals[bigger], D)),
+    }
 
 
 def _check_subadditive(labels, vals, D) -> dict | None:

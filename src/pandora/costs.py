@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 from fractions import Fraction
+from operator import gt
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError
@@ -42,26 +43,55 @@ def _labels_of(mask: int, labels: tuple[int, ...]) -> list[int]:
     return [b for i, b in enumerate(labels) if mask >> i & 1]
 
 
+def _halves(vals: Sequence[int], i: int) -> tuple[list, list]:
+    """The entries of a bitmask table at the masks without bit i and at those
+    with it, each in mask order: entry k of both belongs to the mask
+    `_insert_bit(k, i)`, without and with bit i.  Copied by slices, strided
+    while bit i is low and block by block once it is high."""
+    step = 1 << i
+    blocks = len(vals) >> i + 1
+    without, with_i = [0] * (blocks * step), [0] * (blocks * step)
+    if step <= blocks:
+        for r in range(step):
+            without[r::step] = vals[r::2 * step]
+            with_i[r::step] = vals[r + step::2 * step]
+    else:
+        for b in range(0, blocks * step, step):
+            without[b:b + step] = vals[2 * b:2 * b + step]
+            with_i[b:b + step] = vals[2 * b + step:2 * b + 2 * step]
+    return without, with_i
+
+
+def _insert_bit(k: int, i: int) -> int:
+    """The mask whose bits other than i read k, with bit i clear."""
+    return (k >> i) << (i + 1) | k & ((1 << i) - 1)
+
+
 def _check_monotone_normalized(labels, vals, D) -> dict | None:
     """None if the bitmask table `vals` (values times D) is normalized and
     monotone, else a witness: c(empty), or the first S and x by mask, then
-    bit, with c(S + x) < c(S)."""
+    bit, with c(S + x) < c(S).  Each bit compares the two halves of the
+    table at once; the least violation over the bits is the witness."""
     n = len(labels)
     if vals[0] != 0:
         return {"reason": "not normalized", "c_empty": str(Fraction(vals[0], D))}
-    for mask in range(1 << n):
-        for i in range(n):
-            if mask >> i & 1:
-                continue
-            if vals[mask | 1 << i] < vals[mask]:
-                return {
-                    "reason": "not monotone",
-                    "S": _labels_of(mask, labels),
-                    "x": labels[i],
-                    "c_S": str(Fraction(vals[mask], D)),
-                    "c_Sx": str(Fraction(vals[mask | 1 << i], D)),
-                }
-    return None
+    first = None
+    for i in range(n):
+        drops = list(map(gt, *_halves(vals, i)))
+        if True in drops:
+            here = _insert_bit(drops.index(True), i), i
+            if first is None or here < first:
+                first = here
+    if first is None:
+        return None
+    mask, i = first
+    return {
+        "reason": "not monotone",
+        "S": _labels_of(mask, labels),
+        "x": labels[i],
+        "c_S": str(Fraction(vals[mask], D)),
+        "c_Sx": str(Fraction(vals[mask | 1 << i], D)),
+    }
 
 
 def _cover_ints(weights: Sequence[int], cover: Sequence[int] | None = None) -> list[int]:
@@ -226,19 +256,23 @@ def _per_box_weights(per_box: Mapping[int, object] | Sequence[object]) -> dict[i
 
 
 class AdditiveCost(CostOracle):
-    """c(S) = sum of per-box costs."""
+    """c(S) = sum of per-box costs.
+
+    The weights are also held as ints at one denominator D, the table's
+    scale, so `_value` sums ints and makes one Fraction per query."""
 
     def __init__(self, per_box: Mapping[int, object] | Sequence[object]):
         weights = _per_box_weights(per_box)
         super().__init__(weights)
         self.per_box = weights
+        ints, self._D = scaled([weights[b] for b in self.ground])
+        self._scaled = dict(zip(self.ground, ints))
 
     def _value(self, S: BoxSet) -> Fraction:
-        return sum((self.per_box[b] for b in S), ZERO)
+        return Fraction(sum(self._scaled[b] for b in S), self._D)
 
     def _ints(self) -> tuple[list[int], int]:
-        ints, D = scaled([self.per_box[b] for b in self.ground])
-        return _cover_ints(ints), D
+        return _cover_ints(list(self._scaled.values())), self._D
 
 
 class BudgetAdditiveCost(CostOracle):

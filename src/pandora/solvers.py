@@ -2,8 +2,10 @@
 
 All solvers are exhaustive and exact:
 
-* adaptive: subset/running-max dynamic program (2^n * |support| states),
-  bottom-up over subsets;
+* adaptive: subset/running-max dynamic program, bottom-up over subsets,
+  evaluated only at the live states: running maxima that can occur once the
+  subset is open (0 or an atom of an opened box), below the top atom of the
+  boxes still closed (at most 2^n * |support| states);
 * fixed order with thresholds: depth-first search over ordered suffixes,
   sharing the threshold recursion between orders with a common tail;
 * impulsive: subset dynamic program over the boxes already opened, all of
@@ -88,11 +90,16 @@ def optimal_adaptive(instance: Instance) -> tuple[Fraction, PolicyTree]:
 
     and the utility is W(empty, 0).  x only ever takes support values (plus
     0), so the state space is finite and the recursion exact.  W(S, .) is a
-    vector over the grid, filled from the full set down: each box outside S
-    contributes one `_backward_step` of W(S u {i}, .), and W(S, .) is their
-    elementwise max.  It is held at scale Dv * Dp^(n - |S|) (`_integer_view`).
-    Witness tree tie-breaks: Halt whenever W = 0; otherwise the
-    smallest-labelled maximizing box.
+    row over the grid, filled from the full set down by one `_fold` per box
+    outside S, at scale Dv * Dp^(n - |S|) (`_integer_view`).
+
+    Only live states are evaluated: x is 0 or an atom of a box in S (no other
+    running max can occur once S is open), and x lies below the top atom of
+    the boxes outside S.  At or above that atom W(S, x) = 0, since no excess
+    is left and costs are nonnegative, which is what the row already holds.
+    The recursion and the witness read W only at live states, so the rest of
+    the row is never consulted.  Witness tree tie-breaks: Halt whenever W =
+    0; otherwise the smallest-labelled maximizing box.
     """
     guard("adaptive", instance.n)
     labels = instance.labels
@@ -100,25 +107,36 @@ def optimal_adaptive(instance: Instance) -> tuple[Fraction, PolicyTree]:
     grid, boxes, costs, Dv, Dp = _integer_view(instance, instance.cost.table(), 1 << n)
     lift = [Dp ** k for k in range(n + 1)]
     full = (1 << n) - 1
-    W: list = [None] * full + [[0] * len(grid)]
+    tops = [atoms[-1][0] for atoms, _, _ in boxes]     # grid index of each top atom
+    # by mask, as bits: the grid indices the running max can take once it is open
+    reach = [1] * (full + 1)
+    for mask in range(1, full + 1):
+        i = (mask & -mask).bit_length() - 1
+        reach[mask] = reach[mask & mask - 1] | sum(1 << v for v, _ in boxes[i][0])
+    W = [None] * full + [[0] * len(grid)]
 
-    def opening(mask: int, i: int) -> list[int]:
-        # for every x: the value of opening box i in state (mask, x), then
-        # playing optimally, floored at 0 (halting)
+    def opening(mask: int, i: int, row: list[int], xs) -> list[int]:
+        # raise row[x], for x in xs, to the value of opening box i in state
+        # (mask, x) and then playing optimally
         k = n - mask.bit_count()
         nxt = mask | 1 << i
-        return _backward_step(boxes[i], (costs[nxt] - costs[mask]) * lift[k], lift[k - 1],
-                              W[nxt])[0]
+        _fold(row, boxes[i], (costs[nxt] - costs[mask]) * lift[k], lift[k - 1], W[nxt], xs)
+        return row
 
     for mask in range(full - 1, -1, -1):
-        W[mask] = [max(col) for col in zip(*(opening(mask, i) for i in range(n)
-                                             if not mask >> i & 1))]
+        closed = [i for i in range(n) if not mask >> i & 1]
+        live = reach[mask]
+        xs = [x for x in range(max(tops[i] for i in closed)) if live >> x & 1]
+        row = W[mask] = [0] * len(grid)
+        for i in closed:
+            opening(mask, i, row, xs)
 
     def build(mask: int, x: int) -> PolicyTree:
         target = W[mask][x]
         if target == 0:
             return PolicyTree.halt()
-        i = next(i for i in range(n) if not mask >> i & 1 and opening(mask, i)[x] == target)
+        i = next(i for i in range(n)
+                 if not mask >> i & 1 and opening(mask, i, [0] * len(grid), (x,))[x] == target)
         children = {
             grid[v]: build(mask | 1 << i, v if v > x else x)
             for v, _ in boxes[i][0]
@@ -128,38 +146,43 @@ def optimal_adaptive(instance: Instance) -> tuple[Fraction, PolicyTree]:
     return Fraction(W[0][0], Dv * lift[n]), build(0, 0)
 
 
-def _backward_step(box, cut: int, lift: int, nxt: list[int]) -> tuple[list[int], int]:
-    """f_i(x) = max(0, sum_v p_v [ (v-x)^+ + f_{i+1}(max(v,x)) ] - marg) over
-    the support grid, for box sigma_i (as in `_integer_view`) with marginal
-    cost marg = c(sigma_i | sigma_1..sigma_{i-1}); and t_i, the grid index of
-    the least x with f_i(x) = 0.  With k boxes from sigma_i on, `nxt` is
-    f_{i+1} at scale Dv * Dp^(k-1), `lift` = Dp^(k-1), `cut` = marg * Dv *
-    Dp^k, and f_i comes back at scale Dv * Dp^k.
-
-    On-grid thresholds lose nothing: the running max only takes grid values,
-    so "best >= t" behaves identically to "best >= (least grid value >= t)",
-    and a least grid zero of f_i always exists because f_i(max grid) = 0 (no
-    excess above the top value, and costs are nonnegative, by downward
-    induction on i).  f_i is non-increasing and 1-Lipschitz in x, which the
-    property tests exercise.
+def _fold(row: list[int], box, cut: int, lift: int, nxt: list[int], xs) -> None:
+    """Raise row[x] to f(x) = sum_v p_v [ (v-x)^+ + nxt(max(v,x)) ] - marg, for
+    each grid index x in `xs` (ascending): the value of opening box sigma_i
+    (as in `_integer_view`) at running max x and continuing with `nxt`,
+    where marg = c(sigma_i | the boxes opened before it).  With k boxes from
+    sigma_i on, `nxt` is at scale Dv * Dp^(k-1), `lift` = Dp^(k-1), `cut` =
+    marg * Dv * Dp^k, and row comes back at scale Dv * Dp^k.  A row of zeros
+    folded once over the whole grid is max(0, f), the threshold recursion's
+    f_i; several boxes folded into one row give the max over them.
     """
     atoms, excess, low = box
-    here = [0] * len(nxt)
-    t_i = None
-    above = 0                       # sum of p_v f_{i+1}(v) over atoms v > x
+    above = 0                       # sum of p_v nxt(v) over atoms v > x
     j = len(atoms) - 1
-    for x in range(len(nxt) - 1, -1, -1):
+    for x in reversed(xs):
         while j >= 0 and atoms[j][0] > x:
             v, p = atoms[j]
             above += p * nxt[v]
             j -= 1
         val = excess[x] * lift + above + low[x] * nxt[x] - cut
-        if val > 0:
-            here[x] = val
-        else:
-            t_i = x
-    assert t_i is not None, "f_i must vanish at the top of the grid"
-    return here, t_i
+        if val > row[x]:
+            row[x] = val
+
+
+def _backward_step(box, cut: int, lift: int, nxt: list[int]) -> tuple[list[int], int]:
+    """f_i = max(0, f) of `_fold` over the whole grid, and t_i, the grid
+    index of its first zero.
+
+    On-grid thresholds lose nothing: the running max only takes grid values,
+    so "best >= t" behaves identically to "best >= (least grid value >= t)".
+    f_i is non-increasing and 1-Lipschitz in x, which the property tests
+    exercise, and f_i(max grid) = 0 (no excess above the top value, and costs
+    are nonnegative, by downward induction on i), so its first zero is the
+    least x with f_i(x) = 0.
+    """
+    here = [0] * len(nxt)
+    _fold(here, box, cut, lift, nxt, range(len(nxt)))
+    return here, here.index(0)
 
 
 def _threshold_dp(instance: Instance,

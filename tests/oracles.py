@@ -162,3 +162,52 @@ def is_subadditive(cost):
     subsets = _subsets(cost.ground)
     return all(cost.eval(A | B) <= cost.eval(A) + cost.eval(B)
                for A in subsets for B in subsets)
+
+
+def _labels_of(mask, labels):
+    return [b for i, b in enumerate(labels) if mask >> i & 1]
+
+
+def scan_monotone_normalized(labels, vals, D):
+    """Scalar reference for `costs._check_monotone_normalized` on a bitmask
+    table: c(empty), then one comparison per (mask, bit outside it) in that
+    order, returning the first violation's witness dict, or None."""
+    n = len(labels)
+    if vals[0] != 0:
+        return {"reason": "not normalized", "c_empty": str(Fraction(vals[0], D))}
+    for mask in range(1 << n):
+        for i in range(n):
+            if mask >> i & 1:
+                continue
+            if vals[mask | 1 << i] < vals[mask]:
+                return {
+                    "reason": "not monotone",
+                    "S": _labels_of(mask, labels),
+                    "x": labels[i],
+                    "c_S": str(Fraction(vals[mask], D)),
+                    "c_Sx": str(Fraction(vals[mask | 1 << i], D)),
+                }
+    return None
+
+
+def scan_submodular(labels, vals, D):
+    """Scalar reference for `classes._check_submodular` on a bitmask table:
+    c(x|A) >= c(x|A u {j}) tried once per (A, x < j), by mask, then x, then
+    j, returning the first violation's witness dict, or None."""
+    n = len(labels)
+    for mask in range(1 << n):
+        free = [i for i in range(n) if not mask >> i & 1]
+        for a, i in enumerate(free):
+            with_i = vals[mask | 1 << i]
+            for j in free[a + 1:]:
+                bigger = mask | 1 << j
+                if vals[bigger | 1 << i] + vals[mask] > with_i + vals[bigger]:
+                    return {
+                        "reason": "marginal grows",
+                        "x": labels[i],
+                        "A": _labels_of(mask, labels),
+                        "B": _labels_of(bigger, labels),
+                        "c_x_given_A": str(Fraction(with_i - vals[mask], D)),
+                        "c_x_given_B": str(Fraction(vals[bigger | 1 << i] - vals[bigger], D)),
+                    }
+    return None

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -22,7 +23,11 @@ from pandora import (
     xos_lift,
 )
 
-from oracles import _subsets, is_subadditive, is_submodular
+from pandora.classes import _check_submodular
+from pandora.costs import _check_monotone_normalized
+
+from oracles import _subsets, is_subadditive, is_submodular, scan_monotone_normalized, scan_submodular
+from test_costs import _every_kind
 
 
 class TableCost(CostOracle):
@@ -253,3 +258,57 @@ def test_verdicts_match_the_definitions(family, n, seed):
         cost = random_instance(family, n, seed).cost
     assert validate_class(cost, "submodular").passed == is_submodular(cost)
     assert validate_class(cost, "subadditive").passed == is_subadditive(cost)
+
+
+# the table-halves kernels against the scalar scans in tests/oracles.py:
+# the same witness, byte for byte, or None
+KERNELS = ((_check_monotone_normalized, scan_monotone_normalized),
+           (_check_submodular, scan_submodular))
+
+
+def _same_verdicts(labels, vals, D) -> int:
+    """Assert every kernel agrees with its scan; return how many failed."""
+    failed = 0
+    for check, scan in KERNELS:
+        witness = check(labels, vals, D)
+        assert json.dumps(witness) == json.dumps(scan(labels, vals, D)), check.__name__
+        failed += witness is not None
+    return failed
+
+
+@pytest.mark.parametrize("kind", sorted(_every_kind()))
+def test_half_scans_match_the_scalar_scans_on_every_kind(kind):
+    cost = _every_kind()[kind]
+    table = cost.table()
+    _same_verdicts(cost.ground, table.ints, table.D)
+
+
+def _random_table(style: str, n: int, seed: int):
+    """(labels, ints, D) on n bits: arbitrary small ints, a monotone table
+    with a few entries moved, or a family's table with a few entries moved
+    by up to one unit of cost."""
+    rng = random.Random(seed)
+    labels, D = tuple(range(1, n + 1)), 1
+    if style == "arbitrary":
+        vals = [rng.randint(-2, 3) for _ in range(1 << n)]
+        vals[0] = 0 if rng.random() < 0.8 else vals[0]
+        return labels, vals, rng.randint(1, 3)
+    if style == "near_monotone":
+        vals = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            vals[mask] = rng.randint(0, 2) + max(vals[mask & ~(1 << i)]
+                                                 for i in range(n) if mask >> i & 1)
+    else:
+        cost = random_instance(FAMILIES[seed % len(FAMILIES)], max(n, 2), seed).cost
+        table = cost.table()
+        labels, vals, D = cost.ground, list(table.ints), table.D
+    for _ in range(rng.randint(1, 3) if len(vals) > 1 else 0):
+        vals[rng.randrange(1, len(vals))] += rng.choice((-1, 1)) * rng.randint(1, D + 1)
+    return labels, vals, D
+
+
+@pytest.mark.parametrize("style", ("arbitrary", "near_monotone", "family"))
+def test_half_scans_match_the_scalar_scans_on_random_tables(style):
+    trials = 270
+    failed = sum(_same_verdicts(*_random_table(style, seed % 9, seed)) for seed in range(trials))
+    assert failed > trials          # most of the 2 * trials verdicts are failures

@@ -637,6 +637,20 @@ class TestPlumbing:
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
 
+    def test_parser_is_built_once(self, capsys, monkeypatch, example1_path):
+        import pandora.cli as cli
+
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        assert run_json(capsys, "solve", "-i", example1_path)[1]["utility"] == "21/2"
+        assert main(["solve", "--class", "nope", "-i", example1_path]) == 2
+        assert main([]) == 2
+        code, data = run_json(capsys, "solve", "--class", "fixed_order", "-i", example1_path)
+        assert (code, data["utility"]) == (0, "10")
+        assert built == [1]
+
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
 

@@ -255,6 +255,21 @@ class TestWeitzman:
         inst = random_instance("additive", (seed % 4) + 1, seed)
         assert weitzman(inst)[0] == optimal_adaptive(inst)[0]
 
+    def test_fraction_work_is_linear_in_the_boxes(self):
+        # every round reads one prefix cost; summing it as Fractions would
+        # make about n^2 / 2 of them, the scaled ints one per round
+        import cProfile
+        import pstats
+
+        n = 300
+        inst = Instance([bernoulli(10, "1/2")] * n, AdditiveCost([1] * n))
+        profile = cProfile.Profile()
+        u, _ = profile.runcall(weitzman, inst)
+        made = sum(stat[1] for (path, _, name), stat in pstats.Stats(profile).stats.items()
+                   if name == "__new__" and path.endswith("fractions.py"))
+        assert u == 8 - Fraction(8, 2 ** n)
+        assert made <= 20 * n
+
 
 class TestAdaptivityGap:
     def test_example1_report(self):

@@ -128,8 +128,11 @@ def optimal_adaptive(instance: Instance) -> tuple[Fraction, PolicyTree]:
         live = reach[mask]
         xs = [x for x in range(max(tops[i] for i in closed)) if live >> x & 1]
         row = W[mask] = [0] * len(grid)
+        # `opening` each closed box, with the factors shared by the mask hoisted
+        here, up, down = costs[mask], lift[len(closed)], lift[len(closed) - 1]
         for i in closed:
-            opening(mask, i, row, xs)
+            nxt = mask | 1 << i
+            _fold(row, boxes[i], (costs[nxt] - here) * up, down, W[nxt], xs)
 
     def build(mask: int, x: int) -> PolicyTree:
         target = W[mask][x]
@@ -158,12 +161,12 @@ def _fold(row: list[int], box, cut: int, lift: int, nxt: list[int], xs) -> None:
     """
     atoms, excess, low = box
     above = 0                       # sum of p_v nxt(v) over atoms v > x
-    j = len(atoms) - 1
+    pending = reversed(atoms)       # the atoms not yet in `above`, top first
+    v, p = next(pending)
     for x in reversed(xs):
-        while j >= 0 and atoms[j][0] > x:
-            v, p = atoms[j]
+        while v > x:
             above += p * nxt[v]
-            j -= 1
+            v, p = next(pending, (-1, 0))
         val = excess[x] * lift + above + low[x] * nxt[x] - cut
         if val > row[x]:
             row[x] = val

@@ -211,3 +211,38 @@ def scan_submodular(labels, vals, D):
                         "c_x_given_B": str(Fraction(vals[bigger | 1 << i] - vals[bigger], D)),
                     }
     return None
+
+
+def scan_gross_substitutes(labels, vals, D):
+    """Scalar reference for `classes._check_gross_substitutes` on a bitmask
+    table: `scan_submodular` first, then the triple condition tried once per
+    (S, i < j < k outside S), by mask, then i, j, k.  The three sums
+    f(ij|S)+f(k|S), f(i|S)+f(jk|S), f(j|S)+f(ik|S) must not have a unique
+    maximum; returns the first violation's witness dict, or None."""
+    bad = scan_submodular(labels, vals, D)
+    if bad:
+        bad["reason"] = "not submodular: " + bad["reason"]
+        return bad
+    n = len(labels)
+    for mask in range(1 << n):
+        base = vals[mask]
+        free = [i for i in range(n) if not mask >> i & 1]
+        for a in range(len(free)):
+            for b in range(a + 1, len(free)):
+                for c in range(b + 1, len(free)):
+                    i, j, k = free[a], free[b], free[c]
+                    bi, bj, bk = 1 << i, 1 << j, 1 << k
+                    exprs = [
+                        vals[mask | bi | bj] + vals[mask | bk] - 2 * base,
+                        vals[mask | bi] + vals[mask | bj | bk] - 2 * base,
+                        vals[mask | bj] + vals[mask | bi | bk] - 2 * base,
+                    ]
+                    top = max(exprs)
+                    if exprs.count(top) == 1:
+                        return {
+                            "reason": "unique max in triple",
+                            "S": _labels_of(mask, labels),
+                            "triple": [labels[i], labels[j], labels[k]],
+                            "values": [str(Fraction(e, D)) for e in exprs],
+                        }
+    return None

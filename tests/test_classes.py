@@ -23,10 +23,11 @@ from pandora import (
     xos_lift,
 )
 
-from pandora.classes import _check_submodular
+from pandora.classes import _check_gross_substitutes, _check_submodular, _pack
 from pandora.costs import _check_monotone_normalized
 
-from oracles import _subsets, is_subadditive, is_submodular, scan_monotone_normalized, scan_submodular
+from oracles import (_subsets, is_subadditive, is_submodular, scan_gross_substitutes, scan_monotone_normalized,
+                     scan_submodular)
 from test_costs import _every_kind
 
 
@@ -192,6 +193,10 @@ def test_witnesses_always_replay():
                 assert cost.eval(A | {x}) - cost.eval(A) < cost.eval(B | {x}) - cost.eval(B)
 
 
+# submodular, but the pair {2,3} is priced above the others: not GS
+_PAIR_23_TOO_DEAR = {(): 0, (1,): "2/3", (2,): "2/3", (3,): "2/3", (1, 2): 1, (1, 3): 1,
+                     (2, 3): "4/3", (1, 2, 3): "4/3"}
+
 # every failure reason with its exact payload; values are Fractions rendered
 # back from the scaled integers, so fractional tables pin the rendering too
 WITNESSES = [
@@ -214,10 +219,23 @@ WITNESSES = [
      {"reason": "not integral", "S": [1], "c_S": "1/2"}),
     (ExplicitCost({(): 0, (1,): 2, (2,): 1, (1, 2): 2}), "matroid_rank",
      {"reason": "exceeds cardinality", "S": [1], "c_S": "2"}),
-    (ExplicitCost({(): 0, (1,): "2/3", (2,): "2/3", (3,): "2/3", (1, 2): 1, (1, 3): 1,
-                   (2, 3): "4/3", (1, 2, 3): "4/3"}), "gross_substitutes",
+    (ExplicitCost(_PAIR_23_TOO_DEAR), "gross_substitutes",
      {"reason": "unique max in triple", "S": [], "triple": [1, 2, 3],
       "values": ["5/3", "2", "5/3"]}),
+    # c(S) = g(|S|)/4, strictly concave, with c({1,2,3,4}) one unit of 1/4 up:
+    # the least violation is at S = {1,2} (mask 3), on the three highest bits
+    (ExplicitCost({S: Fraction([0, 12, 21, 27, 30, 31][len(S)] + (S == {1, 2, 3, 4}), 4)
+                   for S in _subsets(range(1, 6))}), "gross_substitutes",
+     {"reason": "unique max in triple", "S": [1, 2], "triple": [3, 4, 5],
+      "values": ["4", "15/4", "15/4"]}),
+    # _PAIR_23_TOO_DEAR's witness with every value times (2^64 + 1)/(2^64 + 3):
+    # D = 3(2^64 + 3), so its fields are too wide to pack
+    (ExplicitCost({S: Fraction(v) * Fraction(2 ** 64 + 1, 2 ** 64 + 3)
+                   for S, v in _PAIR_23_TOO_DEAR.items()}), "gross_substitutes",
+     {"reason": "unique max in triple", "S": [], "triple": [1, 2, 3],
+      "values": ["92233720368547758085/55340232221128654857",
+                 "36893488147419103234/18446744073709551619",
+                 "92233720368547758085/55340232221128654857"]}),
 ]
 
 
@@ -260,20 +278,22 @@ def test_verdicts_match_the_definitions(family, n, seed):
     assert validate_class(cost, "subadditive").passed == is_subadditive(cost)
 
 
-# the table-halves kernels against the scalar scans in tests/oracles.py:
-# the same witness, byte for byte, or None
+# the table kernels -- halves, packed fields, or lists for wide fields --
+# against the scalar scans in tests/oracles.py: the same witness, byte for
+# byte, or None
 KERNELS = ((_check_monotone_normalized, scan_monotone_normalized),
-           (_check_submodular, scan_submodular))
+           (_check_submodular, scan_submodular),
+           (_check_gross_substitutes, scan_gross_substitutes))
 
 
-def _same_verdicts(labels, vals, D) -> int:
-    """Assert every kernel agrees with its scan; return how many failed."""
-    failed = 0
+def _same_verdicts(labels, vals, D) -> list:
+    """Assert every kernel agrees with its scan; return their witnesses."""
+    witnesses = []
     for check, scan in KERNELS:
         witness = check(labels, vals, D)
         assert json.dumps(witness) == json.dumps(scan(labels, vals, D)), check.__name__
-        failed += witness is not None
-    return failed
+        witnesses.append(witness)
+    return witnesses
 
 
 @pytest.mark.parametrize("kind", sorted(_every_kind()))
@@ -283,16 +303,54 @@ def test_half_scans_match_the_scalar_scans_on_every_kind(kind):
     _same_verdicts(cost.ground, table.ints, table.D)
 
 
+def _concave_sums(n: int, rng) -> list[int]:
+    """c(S) = the sum over one or two blocks B of g_B(|S & B|), each g_B
+    increasing with increments that fall by at least 3: gross substitutes
+    with slack in every submodular inequality inside a block, and a tie in
+    every triple inside a block."""
+    blocks = rng.randint(1, 2)
+    part = [rng.randrange(blocks) for _ in range(n)]
+    gains = []
+    for _ in range(blocks):
+        gain, step = [0], 4 * n + rng.randint(1, 3)
+        for _ in range(n):
+            gain.append(gain[-1] + step)
+            step -= rng.randint(3, 4)
+        gains.append(gain)
+    return [sum(gain[sum(1 for i in range(n) if mask >> i & 1 and part[i] == b)]
+                for b, gain in enumerate(gains))
+            for mask in range(1 << n)]
+
+
 def _random_table(style: str, n: int, seed: int):
-    """(labels, ints, D) on n bits: arbitrary small ints, a monotone table
-    with a few entries moved, or a family's table with a few entries moved
-    by up to one unit of cost."""
+    """(labels, ints, D) on n bits: arbitrary small ints; a monotone table
+    with a few entries moved; a family's table with a few entries moved by up
+    to one unit of cost; a gross-substitutes table (`_concave_sums`) with one
+    or two entries moved by 1, which breaks ties in triples at masks S with
+    up to |S| + 2 = |moved entry| bits, so that S is often nonempty; or
+    (`wide`) a family or near-GS table shifted so that its range has 62
+    bits, the most a 64-bit packed field holds, 63 bits or 200 bits, plus an
+    offset and maybe a move in the low bit."""
     rng = random.Random(seed)
     labels, D = tuple(range(1, n + 1)), 1
     if style == "arbitrary":
         vals = [rng.randint(-2, 3) for _ in range(1 << n)]
         vals[0] = 0 if rng.random() < 0.8 else vals[0]
         return labels, vals, rng.randint(1, 3)
+    if style == "wide":
+        labels, vals, D = _random_table(("family", "near_gs")[seed % 2], n, seed)
+        bits = (62, 63, 200)[seed // 2 % 3]
+        shift = max(0, bits - (max(vals) - min(vals)).bit_length())
+        offset = rng.choice((0, 1 << 100, -(1 << 70)))
+        vals = [(v << shift) + offset for v in vals]
+        if rng.random() < 0.5:
+            vals[rng.randrange(len(vals))] += rng.choice((-1, 1))
+        return labels, vals, D
+    if style == "near_gs":
+        vals, D = _concave_sums(n, rng), rng.randint(1, 3)
+        for _ in range(rng.randint(1, 2) if n > 2 else 0):
+            vals[rng.randrange(1, len(vals))] += rng.choice((-1, 1))
+        return labels, vals, D
     if style == "near_monotone":
         vals = [0] * (1 << n)
         for mask in range(1, 1 << n):
@@ -307,8 +365,23 @@ def _random_table(style: str, n: int, seed: int):
     return labels, vals, D
 
 
-@pytest.mark.parametrize("style", ("arbitrary", "near_monotone", "family"))
+@pytest.mark.parametrize("style", ("arbitrary", "near_monotone", "family", "near_gs", "wide"))
 def test_half_scans_match_the_scalar_scans_on_random_tables(style):
     trials = 270
-    failed = sum(_same_verdicts(*_random_table(style, seed % 9, seed)) for seed in range(trials))
-    assert failed > trials          # most of the 2 * trials verdicts are failures
+    witnesses = [w for seed in range(trials) for w in _same_verdicts(*_random_table(style, seed % 9, seed))]
+    if style == "near_gs":
+        # triple failures at S != {}, where a slip in the field-to-mask map
+        # would show, and passing tables, which the triple scans cover whole
+        gs = witnesses[2::3]
+        assert sum(1 for w in gs if w and w["reason"] == "unique max in triple" and w["S"]) > trials // 10
+        assert None in gs
+    else:
+        assert sum(w is not None for w in witnesses) > 3 * trials // 2   # most verdicts are failures
+
+
+def test_packing_holds_ranges_of_at_most_62_bits():
+    # a field holds the range, a carry bit and a guard bit, in whole bytes
+    assert _pack([0, 1 << 6], 1)[1] == 16
+    assert _pack([3, 3 + (1 << 62) - 1], 1)[1] == 64
+    assert _pack([-(1 << 90), -(1 << 90) + (1 << 62) - 1], 1)[1] == 64
+    assert _pack([3, 3 + (1 << 62)], 1) is None

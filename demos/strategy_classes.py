@@ -23,7 +23,7 @@ print("1. Reservation values can mislead")
 print("---------------------------------")
 pair = unit_demand_pair()
 z = reservation_value(pair.box(1), 1)
-_, u = optimal_impulsive(pair)
+u, _ = optimal_impulsive(pair)
 print(f"  two identical boxes (2 w.p. 1/3), pay-once cost: each box alone has")
 print(f"  reservation value {z} < 0, so index reasoning opens nothing (utility 0).")
 print(f"  But opening both impulsively earns 2*(5/9) - 1 = {u} > 0: after the")
@@ -37,8 +37,8 @@ for family in ("bernoulli_coverage", "bernoulli_tree", "bernoulli_hardness"):
     inst = random_instance(family, rng.randint(3, 5), rng.getrandbits(32))
     assert validate_class(inst.cost, "submodular").passed
     ua, _ = optimal_adaptive(inst)
-    _, uf = optimal_fixed_order(inst)
-    pi, ui = optimal_impulsive(inst)
+    uf, _ = optimal_fixed_order(inst)
+    ui, pi = optimal_impulsive(inst)
     flag = "==" if ua == uf == ui else "!!"
     print(f"  {family:<20} n={inst.n}:  impulsive {ui} {flag} fixed {uf} {flag} adaptive {ua}"
           f"   (order {pi.order})")

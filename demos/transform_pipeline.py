@@ -59,7 +59,7 @@ print(f"  adaptive optimum: {u_lift}  (equals the discretized optimum: "
       f"{u_lift == u_eps})")
 print()
 
-pi, u_imp = optimal_impulsive(lifted)
+u_imp, pi = optimal_impulsive(lifted)
 pulled = pull_back_strategy(bmap, pi.order)
 u_pulled = eval_fixed_order(disc, pulled)
 print("Pulling an impulsive solution back")
@@ -68,7 +68,7 @@ print(f"  best lifted impulsive: {pi.order} with utility {u_imp}")
 print(f"  pulls back to order {pulled.sigma}, thresholds "
       f"({', '.join(str(t) for t in pulled.thresholds)})")
 print(f"  fixed-order utility on the discretized instance: {u_pulled} >= {u_imp}")
-best_fixed = optimal_fixed_order(disc)[1]
+best_fixed = optimal_fixed_order(disc)[0]
 print(f"  (the discretized fixed-order optimum is {best_fixed})")
 print()
 

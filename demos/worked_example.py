@@ -40,7 +40,7 @@ print("  most one of {2, 3} and never pays the 20.")
 print(f"  replayed through the profile enumerator: {eval_policy(inst, tree)}")
 print()
 
-best_fixed, u_fixed = optimal_fixed_order(inst)
+u_fixed, best_fixed = optimal_fixed_order(inst)
 print("Best fixed order")
 print("----------------")
 print(f"  utility {u_fixed} via order {best_fixed.sigma} with thresholds "

@@ -96,7 +96,6 @@ from .strategies import (
 )
 from .transforms import (
     BernoullificationMap,
-    DiscretizationParams,
     bernoullify,
     check_preservation,
     discretize,
@@ -109,7 +108,7 @@ __version__ = "1.0.0"
 __all__ = [
     "AdditiveCost", "BernoullificationMap", "BudgetAdditiveCost",
     "CapabilityError", "ClassReport", "CorpusReport", "CostOracle",
-    "CoverageCost", "DiscretizationParams", "DistinguishReport",
+    "CoverageCost", "DistinguishReport",
     "DomainError", "ENTRIES", "ExplicitCost", "FamilyReport",
     "FiniteDistribution", "FixedOrderThresholds", "GapReport",
     "HardnessCost", "HardnessParams", "INF", "ImpulsiveStrategy", "Instance",

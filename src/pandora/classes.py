@@ -70,12 +70,13 @@ def _repeat(bits, width, total):
 
 
 def _pack(vals, n):
-    """(P, W, K, guards): the packed table, its field width, K, and per bit
-    i the guard bits of the masks without bit i (see the module docstring).
-    None when W exceeds 64: wider fields do not fit the 8-byte cells packed
-    here, packing them by hand costs more than the scan saves from about 128
-    bits on, and at the bit budget the packed table and its shifted copies
-    would outgrow what `limits.SCALED_BITS` allows one kernel."""
+    """(P, W, K, guards, shifted): the packed table, its field width, K, and
+    per bit i the guard bits of the masks without bit i and P shifted right
+    by W*2^i (see the module docstring).  None when W exceeds 64: wider
+    fields do not fit the 8-byte cells packed here, packing them by hand
+    costs more than the scan saves from about 128 bits on, and at the bit
+    budget the packed table and its shifted copies would outgrow what
+    `limits.SCALED_BITS` allows one kernel."""
     lo = min(vals)
     size = ((max(vals) - lo).bit_length() + 9) // 8
     if size > 8:
@@ -89,12 +90,12 @@ def _pack(vals, n):
     W = 8 * size
     H = _repeat(1 << (W - 1), W, W << n)
     guards = [_repeat(H & ((1 << (W << i)) - 1), W << (i + 1), W << n) for i in range(n)]
-    return int.from_bytes(packed, "little"), W, H - (H >> (W - 1)), guards
+    P = int.from_bytes(packed, "little")
+    return P, W, H - (H >> (W - 1)), guards, [P >> (W << i) for i in range(n)]
 
 
-def _packed_pairs(P, W, K, guards):
+def _packed_pairs(P, W, K, guards, shifted):
     n = len(guards)
-    shifted = [P >> (W << i) for i in range(n)]
     first = None
     for i in range(n):
         base, gi = P + K - shifted[i], guards[i]
@@ -127,6 +128,10 @@ def _halves_pairs(vals, n):
 
 
 def _check_submodular(labels, vals, D) -> dict | None:
+    return _submodular_witness(labels, vals, D, _pack(vals, len(labels)))
+
+
+def _submodular_witness(labels, vals, D, packed) -> dict | None:
     # Local characterization: c(x|A) >= c(x|A u {j}) for every A and distinct
     # x, j outside A.  Equivalent to the definitional "c(x|B) <= c(x|A) for
     # all A <= B, x outside B" (chain the one-step drops along B - A), and
@@ -134,9 +139,8 @@ def _check_submodular(labels, vals, D) -> dict | None:
     # condition is symmetric in x and j, so each pair is tried once, x < j:
     # a violation is c(A+x+j) + c(A) > c(A+x) + c(A+j).  The witness is the
     # least violating (A, x, j), the first a scan by mask, then x, then j
-    # would meet.
+    # would meet.  `packed` is `_pack(vals, n)`.
     n = len(labels)
-    packed = _pack(vals, n)
     first = _packed_pairs(*packed) if packed else _halves_pairs(vals, n)
     if first is None:
         return None
@@ -188,11 +192,10 @@ def _check_matroid_rank(labels, vals, D) -> dict | None:
     return _check_submodular(labels, vals, D)
 
 
-def _packed_triples(P, W, K, guards):
+def _packed_triples(P, W, K, guards, one):
     # the guard bit of a field of xk - y is set where x > y; a field where
     # one of x, y, z exceeds both others has a unique maximum
     n = len(guards)
-    one = [P >> (W << i) for i in range(n)]
     two = {(i, j): one[i] >> (W << j) for i, j in combinations(range(n), 2)}
     first = None
     for i in range(n):
@@ -238,12 +241,12 @@ def _check_gross_substitutes(labels, vals, D) -> dict | None:
     # must not have a unique maximum.  The -2c(S) in each term is common to
     # all three, so the packed scan compares c(S+ij)+c(S+k), c(S+i)+c(S+jk)
     # and c(S+j)+c(S+ik).  The witness is the least violating (S, i, j, k).
-    bad = _check_submodular(labels, vals, D)
+    n = len(labels)
+    packed = _pack(vals, n)
+    bad = _submodular_witness(labels, vals, D, packed)
     if bad:
         bad["reason"] = "not submodular: " + bad["reason"]
         return bad
-    n = len(labels)
-    packed = _pack(vals, n)
     first = _packed_triples(*packed) if packed else _scalar_triples(vals, n)
     if first is None:
         return None

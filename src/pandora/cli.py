@@ -35,7 +35,7 @@ from .solvers import (
     optimal_impulsive,
     weitzman,
 )
-from .transforms import DiscretizationParams, bernoullify, discretize
+from .transforms import bernoullify, discretize, kappa_epsilon
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -69,15 +69,11 @@ def _cmd_solve(args) -> tuple[dict, int]:
     digest = digest_instance(instance)
     # weitzman dispatches on the concrete cost type, so it keeps the bare instance
     run_on, counter = (instance, None) if args.cls == "weitzman" else _counted_copy(instance)
+    # looked up per call, so a solver patched into this module at run time is used
+    solver = {"adaptive": optimal_adaptive, "fixed_order": optimal_fixed_order,
+              "impulsive": optimal_impulsive, "weitzman": weitzman}[args.cls]
     t0 = time.perf_counter()
-    if args.cls == "adaptive":
-        utility, strategy = optimal_adaptive(run_on)
-    elif args.cls == "fixed_order":
-        strategy, utility = optimal_fixed_order(run_on)
-    elif args.cls == "impulsive":
-        strategy, utility = optimal_impulsive(run_on)
-    else:
-        utility, strategy = weitzman(run_on)
+    utility, strategy = solver(run_on)
     elapsed = time.perf_counter() - t0
     payload = {
         "command": "solve",
@@ -150,9 +146,9 @@ def _cmd_transform(args) -> tuple[dict, int]:
                 epsilon = rat(args.epsilon)
             except ValueError as exc:
                 raise ParseError(f"--epsilon: {exc}") from None
-            params = DiscretizationParams.compute(current, epsilon)
-            params_json = {"epsilon": fmt(params.epsilon), "kappa": fmt(params.kappa)}
-            current = discretize(current, params.epsilon)
+            kappa = kappa_epsilon(current, epsilon)
+            params_json = {"epsilon": fmt(epsilon), "kappa": fmt(kappa)}
+            current = discretize(current, epsilon)
         else:
             current, bmap = bernoullify(current)
             map_json = bmap.to_json()

@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .classes import validate_class
-from .costs import BudgetAdditiveCost, CoverageCost, HardnessCost, XosCost, _labels_of, _masks_by_size
+from .costs import (BudgetAdditiveCost, CoverageCost, HardnessCost, XosCost, _labels_of,
+                    _masks_by_size, marginal_cost)
 from .errors import DomainError
 from .hardness import MAX_TRIALS, hardness_params, symmetric_impulsive_utility_exact
 from .instances import (
@@ -55,10 +56,6 @@ ZERO = Fraction(0)
 # material; "recomputed:<oracle>" names the independent derivation that
 # produced the number.
 PUBLISHED = "published"
-
-
-def recomputed(oracle: str) -> str:
-    return f"recomputed:{oracle}"
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,7 @@ def _check_example1_tree(instance: Instance):
 
 def _check_strict_adaptive_gap(instance: Instance):
     ua, _ = optimal_adaptive(instance)
-    _, uf = optimal_fixed_order(instance)
+    uf, _ = optimal_fixed_order(instance)
     return ua > uf, "adaptive > fixed_order", f"{ua} vs {uf}"
 
 
@@ -196,8 +193,8 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         name="example1",
         build=example1,
         expected=(
-            Expectation("adaptive", rat("21/2"), recomputed("policy-dp")),
-            Expectation("fixed_order", rat(10), recomputed("order-scan")),
+            Expectation("adaptive", rat("21/2"), "recomputed:policy-dp"),
+            Expectation("fixed_order", rat(10), "recomputed:order-scan"),
         ),
         checks=(_check_example1_tree, _check_strict_adaptive_gap),
     ),
@@ -206,7 +203,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         build=unit_demand_pair,
         expected=(
             Expectation("impulsive", rat("1/9"), PUBLISHED),
-            Expectation("adaptive", rat("1/9"), recomputed("policy-dp")),
+            Expectation("adaptive", rat("1/9"), "recomputed:policy-dp"),
         ),
         checks=(_check_weitzman_rejected, _check_negative_reservation),
     ),
@@ -214,7 +211,7 @@ ENTRIES: tuple[CorpusEntry, ...] = (
         name="subadditive4",
         build=subadditive4,
         expected=(
-            Expectation("adaptive", rat("4253/120"), recomputed("policy-dp")),
+            Expectation("adaptive", rat("4253/120"), "recomputed:policy-dp"),
         ),
         checks=(_check_strict_adaptive_gap, _check_subadditive_not_submodular),
     ),
@@ -234,8 +231,8 @@ ENTRIES: tuple[CorpusEntry, ...] = (
 
 _SOLVERS = {
     "adaptive": lambda inst: optimal_adaptive(inst)[0],
-    "fixed_order": lambda inst: optimal_fixed_order(inst)[1],
-    "impulsive": lambda inst: optimal_impulsive(inst)[1],
+    "fixed_order": lambda inst: optimal_fixed_order(inst)[0],
+    "impulsive": lambda inst: optimal_impulsive(inst)[0],
     "weitzman": lambda inst: weitzman(inst)[0],
 }
 
@@ -314,7 +311,7 @@ def _t31_trial(rng: random.Random, t: int, failures: list) -> None:
         _fail(failures, t, "generator-submodular", str(rep.witness), inst)
         return
     ua, _ = optimal_adaptive(inst)
-    _, ui = optimal_impulsive(inst)
+    ui, _ = optimal_impulsive(inst)
     if ua != ui:
         _fail(failures, t, "impulsive==adaptive", f"adaptive {ua} != impulsive {ui}", inst)
 
@@ -323,7 +320,7 @@ def _t44_trial(rng: random.Random, t: int, failures: list) -> None:
     n = rng.randint(2, 5)
     inst = random_instance("general_coverage", n, rng.getrandbits(32))
     ua, _ = optimal_adaptive(inst)
-    _, uf = optimal_fixed_order(inst)
+    uf, _ = optimal_fixed_order(inst)
     if ua != uf:
         _fail(failures, t, "fixed==adaptive",
               f"adaptive {ua} != fixed_order {uf}", inst)
@@ -366,8 +363,6 @@ _CANCEL_FAMILIES = ("bernoulli_coverage", "bernoulli_tree", "bernoulli_hardness"
 
 
 def _cancellation_trial(rng: random.Random, t: int, failures: list) -> None:
-    from .costs import marginal_cost
-
     n = rng.randint(2, 6)
     family = _CANCEL_FAMILIES[t % len(_CANCEL_FAMILIES)]
     inst = random_instance(family, n, rng.getrandbits(32))
@@ -383,7 +378,7 @@ def _cancellation_trial(rng: random.Random, t: int, failures: list) -> None:
               f"h={h}, l={ell}, T={sorted(T)}: {lhs} != {rhs}", inst)
 
 
-def _partition_matroid_instance(rng: random.Random, n: int, seed: int) -> Instance:
+def _partition_matroid_instance(n: int, seed: int) -> Instance:
     # unit-weight coverage with disjoint groups = a partition-matroid rank,
     # which is both MRF and gross-substitutes by construction
     sub = random.Random(seed)
@@ -399,7 +394,7 @@ def _partition_matroid_instance(rng: random.Random, n: int, seed: int) -> Instan
     return Instance(boxes, cost, cost_class="matroid_rank")
 
 
-def _rand_xos_instance(rng: random.Random, n: int, seed: int) -> Instance:
+def _rand_xos_instance(n: int, seed: int) -> Instance:
     sub = random.Random(seed)
     ground = list(range(1, n + 1))
     clauses = []
@@ -430,10 +425,10 @@ def _preservation_trial(rng: random.Random, t: int, failures: list) -> None:
         inst = random_instance("bernoulli_tree", rng.randint(2, 4), seed)
         expect_pass = [("submodular", inst)]
     elif kind == 2:
-        inst = _partition_matroid_instance(rng, rng.randint(2, 4), seed)
+        inst = _partition_matroid_instance(rng.randint(2, 4), seed)
         expect_pass = [("matroid_rank", inst), ("gross_substitutes", inst)]
     elif kind == 3:
-        inst = _rand_xos_instance(rng, rng.randint(2, 3), seed)
+        inst = _rand_xos_instance(rng.randint(2, 3), seed)
         expect_pass = [("xos", inst)]
     elif kind == 4:
         inst = random_instance("explicit_subadditive", rng.randint(2, 3), seed)

@@ -40,6 +40,8 @@ MAX_N = 10 ** 6
 # a drawn label holds 75-140 bytes inside its frozenset, so one trial's query
 # sets stay near 100 MB
 MAX_QUERY_LABELS = 700_000
+# fixed size-alpha sets the builtin algorithm checks against the exact tail
+STATS_SETS = 5
 
 
 def _ln_bracket(n: int, digits: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -382,8 +384,7 @@ class DistinguishReport:
 def distinguish_experiment(n: int, algorithm="random_uniform_alpha_sets",
                            budget: int = 100, trials: int = 1000,
                            seed: int = 0, *, alpha: int | None = None,
-                           beta: int | None = None,
-                           stats_sets: int = 5) -> DistinguishReport:
+                           beta: int | None = None) -> DistinguishReport:
     """Replay a non-adaptive query algorithm against c_R for freshly planted R.
 
     `algorithm` is either the builtin name (each trial issues `budget`
@@ -434,7 +435,7 @@ def distinguish_experiment(n: int, algorithm="random_uniform_alpha_sets",
 
     master = random.Random(seed)
     if declared is None:
-        fixed_sets = [_alpha_subset(master, n, a) for _ in range(stats_sets)]
+        fixed_sets = [_alpha_subset(master, n, a) for _ in range(STATS_SETS)]
     else:
         fixed_sets = [S for S in declared[:per_trial] if len(S) == a]
     fixed_hits = [0] * len(fixed_sets)

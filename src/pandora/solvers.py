@@ -1,6 +1,6 @@
 """Exact optimal solvers per strategy class, plus the adaptivity-gap report.
 
-All solvers are exhaustive and exact:
+Every solver returns (utility, strategy).  All are exhaustive and exact:
 
 * adaptive: subset/running-max dynamic program, bottom-up over subsets,
   evaluated only at the live states: running maxima that can occur once the
@@ -208,16 +208,16 @@ def _threshold_dp(instance: Instance,
 
 
 def optimal_thresholds(instance: Instance,
-                       sigma) -> tuple[FixedOrderThresholds, Fraction]:
+                       sigma) -> tuple[Fraction, FixedOrderThresholds]:
     """Best thresholds for a given permutation, via the f_i backward recursion."""
     sigma = tuple(sigma)
     if set(sigma) != set(instance.labels) or len(sigma) != instance.n:
         raise DomainError(f"sigma {sigma} is not a permutation of {instance.labels}")
     thresholds, utility = _threshold_dp(instance, sigma)
-    return FixedOrderThresholds(sigma, thresholds), utility
+    return utility, FixedOrderThresholds(sigma, thresholds)
 
 
-def optimal_fixed_order(instance: Instance) -> tuple[FixedOrderThresholds, Fraction]:
+def optimal_fixed_order(instance: Instance) -> tuple[Fraction, FixedOrderThresholds]:
     """Best fixed order with thresholds, by a depth-first search over suffixes.
 
     f_i depends only on the ordered suffix sigma_i..sigma_n, whose complement
@@ -247,10 +247,10 @@ def optimal_fixed_order(instance: Instance) -> tuple[FixedOrderThresholds, Fract
 
     grow(0, 0, [0] * len(grid), (), ())
     neg_utility, sigma, thresholds = best
-    return FixedOrderThresholds(sigma, thresholds), Fraction(-neg_utility, Dv * lift[n])
+    return Fraction(-neg_utility, Dv * lift[n]), FixedOrderThresholds(sigma, thresholds)
 
 
-def optimal_impulsive(instance: Instance) -> tuple[ImpulsiveStrategy, Fraction]:
+def optimal_impulsive(instance: Instance) -> tuple[Fraction, ImpulsiveStrategy]:
     """Best impulsive strategy, by a dynamic program over opened sets.
 
     Bernoulli instances only.  A tuple halting at its first non-zero value
@@ -292,7 +292,7 @@ def optimal_impulsive(instance: Instance) -> tuple[ImpulsiveStrategy, Fraction]:
         if boxes[i][1] == 0:
             break
         mask |= 1 << i
-    return ImpulsiveStrategy(tuple(order)), Fraction(G[0], Dv * lift[n])
+    return Fraction(G[0], Dv * lift[n]), ImpulsiveStrategy(tuple(order))
 
 
 def _tail_root(atoms, c: Fraction) -> Fraction:
@@ -391,16 +391,16 @@ def adaptivity_gap(instance: Instance) -> GapReport:
     guard("adaptive", instance.n)
     guard("order_enum", instance.n)
     utility_a, tree = optimal_adaptive(instance)
-    fixed, utility_f = optimal_fixed_order(instance)
+    utility_f, fixed = optimal_fixed_order(instance)
     if instance.is_bernoulli():
-        imp, utility_i = optimal_impulsive(instance)
+        utility_i, imp = optimal_impulsive(instance)
         gaps = {
             "adaptive_vs_fixed": utility_a > utility_f,
             "fixed_vs_impulsive": utility_f > utility_i,
             "adaptive_vs_impulsive": utility_a > utility_i,
         }
     else:
-        imp, utility_i = None, None
+        utility_i, imp = None, None
         gaps = {"adaptive_vs_fixed": utility_a > utility_f}
     return GapReport(
         opt_adaptive=utility_a,

@@ -32,19 +32,6 @@ from .strategies import FixedOrderThresholds, ImpulsiveStrategy, eval_fixed_orde
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class DiscretizationParams:
-    """The (eps, kappa) pair behind one cap-and-floor discretization."""
-
-    epsilon: Fraction
-    kappa: Fraction
-
-    @classmethod
-    def compute(cls, instance: Instance, epsilon) -> "DiscretizationParams":
-        eps = rat(epsilon)
-        return cls(eps, kappa_epsilon(instance, eps))
-
-
 def kappa_epsilon(instance: Instance, epsilon) -> Fraction:
     """Least kappa >= 0 with sum_i E[(V_i - kappa)^+] <= eps, solved exactly.
 
@@ -67,8 +54,8 @@ def discretize(instance: Instance, epsilon) -> Instance:
     dropped).  The declared cost class survives, since every class here is
     closed under restriction to a sub-ground-set.
     """
-    params = DiscretizationParams.compute(instance, epsilon)
-    eps, kappa = params.epsilon, params.kappa
+    eps = rat(epsilon)
+    kappa = kappa_epsilon(instance, eps)
     survivors = []
     boxes = []
     for label, box in zip(instance.labels, instance.boxes):
@@ -214,7 +201,6 @@ def pull_back_strategy(bmap: BernoullificationMap,
 
 def _lifted_coverage_certificate(bmap: BernoullificationMap) -> CoverageCost:
     cost = bmap.original.cost
-    assert isinstance(cost, CoverageCost)
     lifted_labels = bmap.lifted.labels
     elements = []
     for w, group in cost.elements:
@@ -226,7 +212,6 @@ def _lifted_coverage_certificate(bmap: BernoullificationMap) -> CoverageCost:
 
 def _lifted_xos_certificate(bmap: BernoullificationMap) -> XosCost:
     cost = bmap.original.cost
-    assert isinstance(cost, XosCost)
     copies: dict[int, list[int]] = {}
     for lab in bmap.lifted.labels:
         copies.setdefault(bmap.original_box(lab), []).append(lab)

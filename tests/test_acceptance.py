@@ -30,7 +30,7 @@ def test_criterion_01_worked_example_reproduction():
     t0 = time.perf_counter()
     inst = example1()
     ua, tree = optimal_adaptive(inst)
-    _, uf = optimal_fixed_order(inst)
+    uf, _ = optimal_fixed_order(inst)
     assert ua == Fraction(21, 2)
     assert uf == Fraction(10)
     assert ua > uf                       # the gap is strict, exactly
@@ -48,7 +48,7 @@ def test_criterion_02_unit_demand_pair():
     index-based reasoning would open nothing."""
     t0 = time.perf_counter()
     inst = unit_demand_pair()
-    _, u = optimal_impulsive(inst)
+    u, _ = optimal_impulsive(inst)
     assert u == Fraction(1, 9) == 2 * Fraction(5, 9) - 1
     for b in inst.labels:
         assert reservation_value(inst.box(b), 1) < 0
@@ -94,14 +94,14 @@ def test_criterion_05_strict_adaptivity_gap_witnesses():
     assert ok, witness
     assert g.eval((0,)) == 60 and g.eval((0, 2, 3)) == 80
     ua, _ = optimal_adaptive(lifted)
-    _, uf = optimal_fixed_order(lifted)
+    uf, _ = optimal_fixed_order(lifted)
     assert ua > uf
 
     sub4 = subadditive4()
     assert validate_class(sub4.cost, "subadditive").passed
     assert not validate_class(sub4.cost, "submodular").passed
     ua, _ = optimal_adaptive(sub4)
-    _, uf = optimal_fixed_order(sub4)
+    uf, _ = optimal_fixed_order(sub4)
     assert ua > uf
 
     assert time.perf_counter() - t0 < 30.0

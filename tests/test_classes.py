@@ -385,3 +385,13 @@ def test_packing_holds_ranges_of_at_most_62_bits():
     assert _pack([3, 3 + (1 << 62) - 1], 1)[1] == 64
     assert _pack([-(1 << 90), -(1 << 90) + (1 << 62) - 1], 1)[1] == 64
     assert _pack([3, 3 + (1 << 62)], 1) is None
+
+
+def test_gross_substitutes_packs_the_table_once(monkeypatch):
+    # the submodular pair scan and the triple scan share one packed table
+    import pandora.classes as classes
+
+    calls = []
+    monkeypatch.setattr(classes, "_pack", lambda vals, n: calls.append(n) or _pack(vals, n))
+    assert validate_class(AdditiveCost([1, 2, 3, 4, 5]), "gross_substitutes").passed
+    assert calls == [5]

@@ -96,7 +96,7 @@ class TestOptimalAdaptive:
 
 class TestOptimalFixedOrder:
     def test_frozen_example1(self):
-        s, u = optimal_fixed_order(example1())
+        u, s = optimal_fixed_order(example1())
         assert u == 10
         assert eval_fixed_order(example1(), s) == 10
 
@@ -105,7 +105,7 @@ class TestOptimalFixedOrder:
         # order that is all history buys you: free halting does no better
         for inst in (example1(), unit_demand_pair()):
             for sigma in itertools.permutations(inst.labels):
-                s, u = optimal_thresholds(inst, sigma)
+                u, s = optimal_thresholds(inst, sigma)
                 assert u == fixed_order_free_halting(inst, sigma)
                 assert eval_fixed_order(inst, s) == u
 
@@ -113,13 +113,13 @@ class TestOptimalFixedOrder:
         from pandora import support_union
 
         inst = subadditive4()
-        s, u = optimal_fixed_order(inst)
+        u, s = optimal_fixed_order(inst)
         grid = set(support_union(inst))
         assert all(t in grid for t in s.thresholds)
 
     def test_sigma_tie_break_is_lexicographic(self):
         inst = unit_demand_pair()           # fully symmetric boxes and cost
-        s, _ = optimal_fixed_order(inst)
+        _, s = optimal_fixed_order(inst)
         assert s.sigma == (1, 2)
 
     def test_rejects_non_permutation(self):
@@ -137,28 +137,28 @@ class TestOptimalFixedOrder:
     def test_matches_exhaustive_oracle(self, family, n, seed):
         assume(family != "bernoulli_hardness" or n > 1)
         inst = random_instance(family, n, seed)
-        s, u = optimal_fixed_order(inst)
+        u, s = optimal_fixed_order(inst)
         assert u == best_fixed_order_utility(inst)
         # the witness: the least sigma whose best thresholds reach the optimum
         scans = [optimal_thresholds(inst, sigma) for sigma in itertools.permutations(inst.labels)]
-        assert (s, u) == next(scan for scan in scans if scan[1] == u)
+        assert (u, s) == next(scan for scan in scans if scan[0] == u)
 
 
 class TestOptimalImpulsive:
     def test_frozen_unit_demand(self):
-        s, u = optimal_impulsive(unit_demand_pair())
+        u, s = optimal_impulsive(unit_demand_pair())
         assert u == rat("1/9")
         assert s.order == (1, 2)            # symmetric tie -> least tuple
 
     def test_example1(self):
-        s, u = optimal_impulsive(example1())
+        u, s = optimal_impulsive(example1())
         assert u == 10
         assert s.order == (1, 3)
         assert eval_impulsive(example1(), s.order) == 10
 
     def test_empty_when_nothing_pays(self):
         inst = Instance([bernoulli(1, "1/2")], AdditiveCost([10]))
-        s, u = optimal_impulsive(inst)
+        u, s = optimal_impulsive(inst)
         assert u == 0 and s.order == ()
 
     def test_rejects_general_distributions(self):
@@ -169,7 +169,7 @@ class TestOptimalImpulsive:
         # box 1 always pays out, so no slot after it is reached: the least
         # optimal tuple is (1,), not (1, 2)
         inst = Instance([bernoulli(10, 1), bernoulli(5, "1/2")], AdditiveCost([0, 0]))
-        s, u = optimal_impulsive(inst)
+        u, s = optimal_impulsive(inst)
         assert (s.order, u) == ((1,), 10)
 
     @pytest.mark.parametrize("family", ["bernoulli_coverage", "bernoulli_tree",
@@ -179,14 +179,14 @@ class TestOptimalImpulsive:
         # T31 past the n! search's old cap of 8
         for seed in range(5):
             inst = random_instance(family, n, seed)
-            assert optimal_impulsive(inst)[1] == optimal_adaptive(inst)[0]
+            assert optimal_impulsive(inst)[0] == optimal_adaptive(inst)[0]
 
     @settings(max_examples=40, deadline=None)
     @given(families, sizes, seeds)
     def test_matches_exhaustive_oracle(self, family, n, seed):
         assume(family != "bernoulli_hardness" or n > 1)
         inst = random_instance(family, n, seed, {"bernoulli": True})
-        s, u = optimal_impulsive(inst)
+        u, s = optimal_impulsive(inst)
         assert u == best_impulsive_utility(inst)
         # the witness: the least ordered subset whose utility reaches the optimum
         orders = sorted(order for k in range(n + 1)
@@ -347,3 +347,36 @@ class TestAdaptivityGap:
         assert "asserts are live" not in done.stderr
         with pytest.raises(AssertionError, match="class chain"):
             GapReport(rat(1), rat(1), rat(2), None, None, None, {})
+
+
+@pytest.mark.parametrize("family", ["bernoulli_coverage", "bernoulli_tree", "bernoulli_hardness",
+                                    "general_coverage", "additive", "explicit_subadditive"])
+def test_every_solver_returns_utility_then_strategy(family):
+    # each solver's strategy, replayed by its class's evaluator, earns its
+    # utility; at seed 27 every optimum here is positive
+    inst = random_instance(family, 4, 27)
+    runs = [(optimal_adaptive, inst, eval_policy),
+            (optimal_fixed_order, inst, eval_fixed_order),
+            (lambda i: optimal_thresholds(i, i.labels[::-1]), inst, eval_fixed_order),
+            (optimal_impulsive, random_instance(family, 4, 27, {"bernoulli": True}), eval_impulsive)]
+    if family == "additive":
+        runs.append((weitzman, inst, eval_fixed_order))
+    for solver, instance, evaluate in runs:
+        utility, strategy = solver(instance)
+        assert evaluate(instance, strategy) == utility
+
+
+def test_package_all_is_the_public_surface():
+    import ast
+    from pathlib import Path
+
+    import pandora
+
+    namespace = {}
+    exec("from pandora import *", namespace)
+    assert set(pandora.__all__) <= set(namespace)
+    assert len(set(pandora.__all__)) == len(pandora.__all__)
+    tree = ast.parse(Path(pandora.__file__).read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {name for name in imported if not name.startswith("_")} == set(pandora.__all__)

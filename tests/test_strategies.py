@@ -220,7 +220,7 @@ class TestEvalFixedOrder:
 
     def test_one_prefix_query_per_round_reached(self):
         inst = random_instance("general_coverage", 6, 5)
-        best, utility = optimal_fixed_order(inst)
+        utility, best = optimal_fixed_order(inst)
         never = FixedOrderThresholds(best.sigma, (INF,) * 6)
         # the optimal order halts every run before its fifth round
         for s, rounds in [(best, 4), (never, 6)]:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pandora import (
-    DiscretizationParams,
     DomainError,
     FiniteDistribution,
     HardnessCost,
@@ -47,11 +46,6 @@ class TestKappa:
     def test_rejects_nonpositive_epsilon(self):
         with pytest.raises(DomainError, match="positive"):
             kappa_epsilon(example1(), 0)
-
-    def test_params_bundle(self):
-        p = DiscretizationParams.compute(example1(), "1/2")
-        assert p.epsilon == rat("1/2")
-        assert p.kappa == kappa_epsilon(example1(), "1/2")
 
     @settings(max_examples=50, deadline=None)
     @given(seeds, st.integers(1, 40), st.integers(1, 6))
@@ -169,14 +163,14 @@ class TestBernoullify:
             (seed % 3) + 1, seed, {"max_atoms": 2},
         )
         lifted, _ = bernoullify(inst)
-        _, u_fixed = optimal_fixed_order(inst)
-        _, u_imp = optimal_impulsive(lifted)
+        u_fixed, _ = optimal_fixed_order(inst)
+        u_imp, _ = optimal_impulsive(lifted)
         assert u_fixed == u_imp
 
     def test_fixed_order_optimum_frozen(self):
         lifted, _ = bernoullify(subadditive4())
-        _, u_fixed = optimal_fixed_order(subadditive4())
-        _, u_imp = optimal_impulsive(lifted)
+        u_fixed, _ = optimal_fixed_order(subadditive4())
+        u_imp, _ = optimal_impulsive(lifted)
         assert u_fixed == u_imp
 
 

@@ -12,23 +12,15 @@ the cost's own denominators, built by the cost's own integer kernel -- and
 render witness values back as the Fractions x / D, so a witness reads as it
 would in exact rationals.  No Fraction is made per subset.
 
-The submodular pair scan and the gross-substitutes triple scan run on the
-table packed into one int (SWAR, SIMD within a register): field m, W bits
-wide at bit W*m, holds c(m) - min c, and W is the range's bit length plus a
-carry bit and a guard bit, rounded up to whole bytes.  Both conditions
-compare sums of two entries, so the common offset changes nothing.
-Shifting the packed table right by W*2^i lines c(S + i) up with c(S), and
-with K holding 2^(W-1) - 1 in every field, the guard bit of each field of
-X + K - Y is set exactly where x > y, no borrow crossing a field.  So each
-pair or triple costs a handful of whole-table int operations, and the least
-set guard bit, among the masks without its bits, is its least violating
-mask.  The witness is the least violating tuple, the first a scan by mask
-would meet; a pair or triple whose least mask is 0 ends the scan, as nothing
-after it can precede it.  Tables whose fields would exceed 64 bits keep the
-list kernels -- table halves for pairs, one tuple at a time for triples:
-such fields no longer fit the 8-byte cells the packing goes through, and
-packing stops paying near 128-bit fields anyway.  The 3^n subadditive scan
-goes one pair of disjoint sets at a time.
+The pair and triple scans run on the packed table of `costs._pack` (see
+the `costs` docstring), at any field width.  They compare sums of two
+entries, so the packing's offset changes nothing.  Each pair or triple costs
+a handful of whole-table int operations; the least set guard bit, among the
+masks without its bits, is its least violating mask.  The witness is the
+least violating tuple, the first a scan by mask would meet; one at mask 0
+ends the scan.  The pair scan holds 2n + 6 packed ints at once, the triple
+scan n(n-1)/2 + 2n + 16.  The 3^n subadditive scan goes one pair of
+disjoint sets at a time.
 
 The hierarchy being checked:  additive < gross substitutes < submodular <
 XOS < subadditive, with matroid rank functions sitting inside gross
@@ -36,14 +28,11 @@ substitutes.
 """
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, repeat
-from operator import gt, sub
+from itertools import combinations
 
-from .costs import CostOracle, _check_monotone_normalized, _halves, _insert_bit, _labels_of
+from .costs import CostOracle, _check_monotone_normalized, _guards_without, _labels_of, _pack
 from .errors import DomainError
 from .limits import guard
 
@@ -60,42 +49,13 @@ class ClassReport:
         return self.passed
 
 
-def _repeat(bits, width, total):
-    """`bits`, a pattern `width` bits wide, repeated to `total` bits by
-    doubling: linear in `total`, where dividing by a geometric sum is not."""
-    while width < total:
-        bits |= bits << width
-        width <<= 1
-    return bits
+def _per_bit(P, W, n):
+    """Per bit i: the guard bits of the masks without i, and P >> W*2^i."""
+    return [_guards_without(W, i, n) for i in range(n)], [P >> (W << i) for i in range(n)]
 
 
-def _pack(vals, n):
-    """(P, W, K, guards, shifted): the packed table, its field width, K, and
-    per bit i the guard bits of the masks without bit i and P shifted right
-    by W*2^i (see the module docstring).  None when W exceeds 64: wider
-    fields do not fit the 8-byte cells packed here, packing them by hand
-    costs more than the scan saves from about 128 bits on, and at the bit
-    budget the packed table and its shifted copies would outgrow what
-    `limits.SCALED_BITS` allows one kernel."""
-    lo = min(vals)
-    size = ((max(vals) - lo).bit_length() + 9) // 8
-    if size > 8:
-        return None
-    cells = array("Q", map(sub, vals, repeat(lo)) if lo else vals)
-    if sys.byteorder == "big":
-        cells.byteswap()
-    raw, packed = cells.tobytes(), bytearray(size << n)
-    for b in range(size):
-        packed[b::size] = raw[b::cells.itemsize]
-    W = 8 * size
-    H = _repeat(1 << (W - 1), W, W << n)
-    guards = [_repeat(H & ((1 << (W << i)) - 1), W << (i + 1), W << n) for i in range(n)]
-    P = int.from_bytes(packed, "little")
-    return P, W, H - (H >> (W - 1)), guards, [P >> (W << i) for i in range(n)]
-
-
-def _packed_pairs(P, W, K, guards, shifted):
-    n = len(guards)
+def _packed_pairs(P, W, K, n):
+    guards, shifted = _per_bit(P, W, n)
     first = None
     for i in range(n):
         base, gi = P + K - shifted[i], guards[i]
@@ -110,25 +70,10 @@ def _packed_pairs(P, W, K, guards, shifted):
     return first
 
 
-def _halves_pairs(vals, n):
-    # Per x: its marginals over the masks without x, in mask order; per j:
-    # the halves of that list without and with j, compared at once.
-    first = None
-    for i in range(n):
-        without_i, with_i = _halves(vals, i)
-        margin = list(map(sub, with_i, without_i))
-        for j in range(i + 1, n):
-            without_j, with_j = _halves(margin, j - 1)
-            grows = list(map(gt, with_j, without_j))
-            if True in grows:
-                here = _insert_bit(_insert_bit(grows.index(True), j - 1), i), i, j
-                if first is None or here < first:
-                    first = here
-    return first
-
-
 def _check_submodular(labels, vals, D) -> dict | None:
-    return _submodular_witness(labels, vals, D, _pack(vals, len(labels)))
+    # the pair scan holds P, K, the per-bit lists and four temporaries
+    n = len(labels)
+    return _submodular_witness(labels, vals, D, _pack(vals, n, 2 * n + 6))
 
 
 def _submodular_witness(labels, vals, D, packed) -> dict | None:
@@ -139,9 +84,8 @@ def _submodular_witness(labels, vals, D, packed) -> dict | None:
     # condition is symmetric in x and j, so each pair is tried once, x < j:
     # a violation is c(A+x+j) + c(A) > c(A+x) + c(A+j).  The witness is the
     # least violating (A, x, j), the first a scan by mask, then x, then j
-    # would meet.  `packed` is `_pack(vals, n)`.
-    n = len(labels)
-    first = _packed_pairs(*packed) if packed else _halves_pairs(vals, n)
+    # would meet.  `packed` is `_pack(vals, n, copies)`.
+    first = _packed_pairs(*packed, len(labels))
     if first is None:
         return None
     mask, i, j = first
@@ -192,10 +136,10 @@ def _check_matroid_rank(labels, vals, D) -> dict | None:
     return _check_submodular(labels, vals, D)
 
 
-def _packed_triples(P, W, K, guards, one):
+def _packed_triples(P, W, K, n):
     # the guard bit of a field of xk - y is set where x > y; a field where
     # one of x, y, z exceeds both others has a unique maximum
-    n = len(guards)
+    guards, one = _per_bit(P, W, n)
     two = {(i, j): one[i] >> (W << j) for i, j in combinations(range(n), 2)}
     first = None
     for i in range(n):
@@ -224,16 +168,6 @@ def _triple_sums(vals, mask, i, j, k):
     ]
 
 
-def _scalar_triples(vals, n):
-    for mask in range(1 << n):
-        free = [i for i in range(n) if not mask >> i & 1]
-        for i, j, k in combinations(free, 3):
-            sums = _triple_sums(vals, mask, i, j, k)
-            if sums.count(max(sums)) == 1:
-                return mask, i, j, k
-    return None
-
-
 def _check_gross_substitutes(labels, vals, D) -> dict | None:
     # Submodularity plus the triple condition: for every S and distinct
     # i, j, k outside S the multiset
@@ -242,12 +176,14 @@ def _check_gross_substitutes(labels, vals, D) -> dict | None:
     # all three, so the packed scan compares c(S+ij)+c(S+k), c(S+i)+c(S+jk)
     # and c(S+j)+c(S+ik).  The witness is the least violating (S, i, j, k).
     n = len(labels)
-    packed = _pack(vals, n)
+    # the triple scan holds P, K, the per-bit lists, `two`, x, y, z and
+    # their sums with K, and eight temporaries
+    packed = _pack(vals, n, n * (n - 1) // 2 + 2 * n + 16)
     bad = _submodular_witness(labels, vals, D, packed)
     if bad:
         bad["reason"] = "not submodular: " + bad["reason"]
         return bad
-    first = _packed_triples(*packed) if packed else _scalar_triples(vals, n)
+    first = _packed_triples(*packed, n)
     if first is None:
         return None
     mask, i, j, k = first

@@ -12,13 +12,20 @@ caller are validated; wrappers reuse their inner's, and every `HardnessCost`
 on n boxes shares one cached 1..n ground (tuple and frozenset), so
 construction is O(1) once that ground exists.  The JSON form of each kind
 is written and read in `serialize`.
+
+The validators' table scans run on one packing (SWAR): `_pack` puts
+c(m) - min c in field m, W bits wide at bit W*m, with W the range's bit
+length plus a carry and a guard bit, in whole bytes.  With K holding
+2^(W-1) - 1 per field, the guard bit of each field of X + K - Y is set
+exactly where x > y, and no borrow crosses a field; P >> W*2^i lines
+c(S + i) up with c(S).  Every packed int a scan holds at once counts
+against `limits.SCALED_BITS` before anything is packed.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from fractions import Fraction
-from operator import gt
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DomainError
@@ -43,43 +50,47 @@ def _labels_of(mask: int, labels: tuple[int, ...]) -> list[int]:
     return [b for i, b in enumerate(labels) if mask >> i & 1]
 
 
-def _halves(vals: Sequence[int], i: int) -> tuple[list, list]:
-    """The entries of a bitmask table at the masks without bit i and at those
-    with it, each in mask order: entry k of both belongs to the mask
-    `_insert_bit(k, i)`, without and with bit i.  Copied by slices, strided
-    while bit i is low and block by block once it is high."""
-    step = 1 << i
-    blocks = len(vals) >> i + 1
-    without, with_i = [0] * (blocks * step), [0] * (blocks * step)
-    if step <= blocks:
-        for r in range(step):
-            without[r::step] = vals[r::2 * step]
-            with_i[r::step] = vals[r + step::2 * step]
-    else:
-        for b in range(0, blocks * step, step):
-            without[b:b + step] = vals[2 * b:2 * b + step]
-            with_i[b:b + step] = vals[2 * b + step:2 * b + 2 * step]
-    return without, with_i
+def _repeat(bits: int, width: int, total: int) -> int:
+    """`bits`, a pattern `width` bits wide, repeated to `total` bits by
+    doubling: linear in `total`, where dividing by a geometric sum is not."""
+    while width < total:
+        bits |= bits << width
+        width <<= 1
+    return bits
 
 
-def _insert_bit(k: int, i: int) -> int:
-    """The mask whose bits other than i read k, with bit i clear."""
-    return (k >> i) << (i + 1) | k & ((1 << i) - 1)
+def _pack(vals: Sequence[int], n: int, copies: int) -> tuple[int, int, int]:
+    """(P, W, K) for the bitmask table `vals` on n bits (see the module
+    docstring); raises CapabilityError before packing if `copies` ints of
+    the packed size, what the calling scan holds at once, pass the budget."""
+    lo = min(vals)
+    size = ((max(vals) - lo).bit_length() + 9) // 8
+    W = 8 * size
+    guard_bits(copies << n, W)
+    P = int.from_bytes(b"".join([(v - lo).to_bytes(size, "little") for v in vals]), "little")
+    H = _repeat(1 << (W - 1), W, W << n)
+    return P, W, H - (H >> (W - 1))
+
+
+def _guards_without(W: int, i: int, n: int) -> int:
+    """The guard bits of the W-bit fields, over n mask bits, whose masks lack bit i."""
+    return _repeat(_repeat(1 << (W - 1), W, W << i), W << (i + 1), W << n)
 
 
 def _check_monotone_normalized(labels, vals, D) -> dict | None:
     """None if the bitmask table `vals` (values times D) is normalized and
     monotone, else a witness: c(empty), or the first S and x by mask, then
-    bit, with c(S + x) < c(S).  Each bit compares the two halves of the
-    table at once; the least violation over the bits is the witness."""
+    bit, with c(S + x) < c(S): one packed compare per bit, holding P, K and
+    six temporaries, and the least violation over the bits."""
     n = len(labels)
     if vals[0] != 0:
         return {"reason": "not normalized", "c_empty": str(Fraction(vals[0], D))}
+    P, W, K = _pack(vals, n, 8)
     first = None
     for i in range(n):
-        drops = list(map(gt, *_halves(vals, i)))
-        if True in drops:
-            here = _insert_bit(drops.index(True), i), i
+        drops = (P + K - (P >> (W << i))) & _guards_without(W, i, n)
+        if drops:
+            here = (drops & -drops).bit_length() // W - 1, i
             if first is None or here < first:
                 first = here
     if first is None:

@@ -53,6 +53,6 @@ def guard_bits(count: int, bits: int) -> None:
     SCALED_BITS; checked before the integers are built."""
     if count * bits > SCALED_BITS:
         raise CapabilityError(
-            f"exact integer scaling would hold {count} numbers of up to {bits} bits, "
+            f"the exact integer kernels would hold {count} numbers of up to {bits} bits, "
             f"above the budget of {SCALED_BITS} bits"
         )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .costs import AdditiveCost, Table
 from .errors import DomainError
@@ -134,6 +135,7 @@ def optimal_adaptive(instance: Instance) -> tuple[Fraction, PolicyTree]:
             nxt = mask | 1 << i
             _fold(row, boxes[i], (costs[nxt] - here) * up, down, W[nxt], xs)
 
+    @cache          # one node per state, shared by every history reaching it
     def build(mask: int, x: int) -> PolicyTree:
         target = W[mask][x]
         if target == 0:

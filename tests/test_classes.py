@@ -23,8 +23,9 @@ from pandora import (
     xos_lift,
 )
 
-from pandora.classes import _check_gross_substitutes, _check_submodular, _pack
-from pandora.costs import _check_monotone_normalized
+from pandora.classes import _check_gross_substitutes, _check_submodular
+from pandora.costs import _check_monotone_normalized, _pack
+from pandora.limits import SCALED_BITS
 
 from oracles import (_subsets, is_subadditive, is_submodular, scan_gross_substitutes, scan_monotone_normalized,
                      scan_submodular)
@@ -278,9 +279,8 @@ def test_verdicts_match_the_definitions(family, n, seed):
     assert validate_class(cost, "subadditive").passed == is_subadditive(cost)
 
 
-# the table kernels -- halves, packed fields, or lists for wide fields --
-# against the scalar scans in tests/oracles.py: the same witness, byte for
-# byte, or None
+# the packed table kernels, at every field width, against the scalar scans in
+# tests/oracles.py: the same witness, byte for byte, or None
 KERNELS = ((_check_monotone_normalized, scan_monotone_normalized),
            (_check_submodular, scan_submodular),
            (_check_gross_substitutes, scan_gross_substitutes))
@@ -379,12 +379,24 @@ def test_half_scans_match_the_scalar_scans_on_random_tables(style):
         assert sum(w is not None for w in witnesses) > 3 * trials // 2   # most verdicts are failures
 
 
-def test_packing_holds_ranges_of_at_most_62_bits():
+def test_packing_holds_a_range_of_any_width():
     # a field holds the range, a carry bit and a guard bit, in whole bytes
-    assert _pack([0, 1 << 6], 1)[1] == 16
-    assert _pack([3, 3 + (1 << 62) - 1], 1)[1] == 64
-    assert _pack([-(1 << 90), -(1 << 90) + (1 << 62) - 1], 1)[1] == 64
-    assert _pack([3, 3 + (1 << 62)], 1) is None
+    assert _pack([0, 1 << 6], 1, 1)[1] == 16
+    assert _pack([3, 3 + (1 << 62) - 1], 1, 1)[1] == 64
+    assert _pack([-(1 << 90), -(1 << 90) + (1 << 62) - 1], 1, 1)[1] == 64
+    assert _pack([3, 3 + (1 << 62)], 1, 1)[1] == 72
+    P, W, K = _pack([5, 5 + (1 << 1000), 5, 7], 2, 1)
+    assert W == 1008
+    assert P == (1 << 1000) << W | 2 << 3 * W
+    assert K == sum(((1 << (W - 1)) - 1) << (W * m) for m in range(4))
+
+
+def test_packing_refuses_past_the_bit_budget_before_packing():
+    # every copy the calling scan holds counts: 2^1 fields of 1008 bits
+    copies = SCALED_BITS // 2016
+    assert _pack([0, 1 << 1000], 1, copies)[1] == 1008
+    with pytest.raises(CapabilityError, match="budget"):
+        _pack([0, 1 << 1000], 1, copies + 1)
 
 
 def test_gross_substitutes_packs_the_table_once(monkeypatch):
@@ -392,6 +404,6 @@ def test_gross_substitutes_packs_the_table_once(monkeypatch):
     import pandora.classes as classes
 
     calls = []
-    monkeypatch.setattr(classes, "_pack", lambda vals, n: calls.append(n) or _pack(vals, n))
+    monkeypatch.setattr(classes, "_pack", lambda vals, n, copies: calls.append(n) or _pack(vals, n, copies))
     assert validate_class(AdditiveCost([1, 2, 3, 4, 5]), "gross_substitutes").passed
     assert calls == [5]

@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 
 from pandora import (
+    CoverageCost,
+    Instance,
+    bernoulli,
     dumps_instance,
     eval_impulsive,
     example1,
@@ -442,6 +445,23 @@ class TestValidate:
         error = json.loads(done.stdout)["error"]
         assert error["type"] == "capability"
         assert "budget" in error["message"]
+
+    @pytest.mark.parametrize("bits, code", [(1000, 3), (100, 0)])
+    def test_packed_scan_copies_count_against_the_bit_budget(self, capsys, tmp_path, bits, code):
+        # one element weighs 2^bits: the pair scan would hold 2n + 6 = 34
+        # packed copies of 2^14 fields, 1008 bits wide, which is past the
+        # budget and refused before packing; 104-bit fields fit
+        n = 14
+        cost = CoverageCost(range(1, n + 1), [(2 ** bits, {1})] + [(1, {b}) for b in range(2, n + 1)])
+        path = tmp_path / f"wide{bits}.json"
+        save_instance(Instance([bernoulli(1, "1/2")] * n, cost), path)
+        got, data = run_json(capsys, "validate", "--class", "submodular", "-i", str(path))
+        assert got == code
+        if code:
+            assert data["error"]["type"] == "capability"
+            assert "budget" in data["error"]["message"]
+        else:
+            assert data["passed"] is True
 
     def test_unknown_class_is_usage_error(self, capsys, unit_demand_path):
         code, out = run(capsys, "validate", "--class", "psychic",

@@ -83,6 +83,23 @@ class TestOptimalAdaptive:
         with pytest.raises(CapabilityError, match="budget"):
             optimal_adaptive(Instance(boxes, AdditiveCost([1] * 10)))
 
+    def test_witness_has_one_node_per_state(self):
+        # box i uniform on {0, i + 1, n + 1 + i} at no cost: the policy opens
+        # every box on every path, 3^8 leaves, but 2^8 masks times a few
+        # running maxima of states
+        n = 8
+        boxes = [FiniteDistribution({0: "1/3", i + 1: "1/3", n + 1 + i: "1/3"}) for i in range(n)]
+        inst = Instance(boxes, AdditiveCost([0] * n))
+        u, tree = optimal_adaptive(inst)
+        seen, todo = set(), [tree]
+        while todo:
+            node = todo.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                todo.extend(sub for _, sub in node.children)
+        assert len(seen) < 200
+        assert eval_policy(inst, tree) == u
+
     @settings(max_examples=40, deadline=None)
     @given(families, st.integers(1, 4), seeds)
     def test_matches_exhaustive_oracle(self, family, n, seed):
